@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .checker import CONTAINED, ProofReport, check_upto
-from .companion import catalog, lrf, lrf_function
+from .companion import catalog, lrf_function
 from .formats import (
     export_dot,
     parse_aut,
@@ -57,9 +57,8 @@ def _cmd_companion(args) -> int:
     relation = parse_relation_document(_read(args.relation))
     r = resolve_relation(relation, lts)
     seq = compute_strata(lts)
-    image = lrf(seq, r)
-    index = seq.strata.index(image)
-    print(f"lrf(R) = {render_relation(image, lts.state_names)}")
+    index = seq.depth(r)
+    print(f"lrf(R) = {render_relation(seq.stratum(index), lts.state_names)}")
     print(f"stratum = {index}")
     return OK
 
@@ -192,6 +191,9 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return INPUT_ERROR
+    except MemoryError as e:
+        print(f"error: input too large: {e or 'out of memory'}", file=sys.stderr)
         return INPUT_ERROR
 
 

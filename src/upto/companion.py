@@ -76,14 +76,9 @@ def lrf(seq: StrataSequence, r: Relation) -> Relation:
 
     Strata shrink as the index grows, so the result is the stratum just
     before the first one that loses a pair of r, or the stable stratum when
-    nothing is ever lost.
+    nothing is ever lost; its index is ``seq.depth(r)``.
     """
-    if r.n_states != seq.lts.n_states:
-        raise ValueError("relation dimensions do not match the strata sequence")
-    for k in range(1, seq.epsilon + 1):
-        if not r.is_subset(seq.strata[k]):
-            return seq.strata[k - 1]
-    return seq.strata[seq.epsilon]
+    return seq.stratum(seq.depth(r))
 
 
 def lrf_function(seq: StrataSequence) -> UpToFunction:

@@ -143,20 +143,18 @@ def parse_relation_document(text: str) -> RelationDocument:
     return RelationDocument(pairs=tuple(pairs))
 
 
-def _resolve_state(token: str, lts: Lts) -> int:
-    # display names win over raw indices when both could apply
-    for i, name in enumerate(lts.state_names):
-        if name == token:
-            return i
-    if token.isdigit() and int(token) < lts.n_states:
-        return int(token)
-    raise RelationParseError(f"cannot resolve state {token!r}")
-
-
 def resolve_relation(doc: RelationDocument, lts: Lts) -> Relation:
-    return Relation.from_pairs(
-        lts.n_states, [(_resolve_state(a, lts), _resolve_state(b, lts)) for a, b in doc.pairs]
-    )
+    # display names win over raw indices when both could apply
+    index = {name: i for i, name in enumerate(lts.state_names)}
+
+    def resolve(token: str) -> int:
+        if token in index:
+            return index[token]
+        if token.isdigit() and int(token) < lts.n_states:
+            return int(token)
+        raise RelationParseError(f"cannot resolve state {token!r}")
+
+    return Relation.from_pairs(lts.n_states, [(resolve(a), resolve(b)) for a, b in doc.pairs])
 
 
 def parse_relation(text: str, lts: Lts) -> Relation:

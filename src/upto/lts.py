@@ -2,10 +2,10 @@
 
 A relation R progresses to S when every transition out of either side of a
 pair in R can be matched by the other side, with the derivative pair landing
-in S.  Everything downstream (strata, the largest respectful function, the
-proof checker) is built from the two operations here: the per-pair progress
-test with diagnostics, and the largest relation progressing to a fixed
-target.
+in S.  The two operations here are the per-pair progress test with
+diagnostics, which the proof checker runs, and the largest relation
+progressing to a fixed target, the general operator that the stratum chain
+(built by partition refinement in ``strata``) is tested against.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ class Label:
     def __post_init__(self):
         if not self.text:
             raise ValueError("label text must be non-empty")
+        # a line break would split the label's line in an .aut file
+        if self.text.splitlines() != [self.text]:
+            raise ValueError(f"label text {self.text!r} contains a line break")
 
 
 class Lts:

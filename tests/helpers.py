@@ -2,13 +2,14 @@
 
 The oracles deliberately avoid the library's own computation routes:
 refinement_strata rebuilds the stratum chain by partition refinement over
-transition signatures, and the enumeration helpers sweep every relation on a
-small state space.
+transition signatures, matrix_strata iterates the dense matrix operator,
+scan_lrf reads lrf off the materialized strata, and the enumeration helpers
+sweep every relation on a small state space.
 """
 
 import hypothesis.strategies as st
 
-from upto import Lts, Relation
+from upto import Lts, Relation, largest_progressing_to
 
 
 def refinement_strata(lts):
@@ -36,6 +37,25 @@ def refinement_strata(lts):
         Relation.from_pairs(n, [(p, q) for p in range(n) for q in range(n) if b[p] == b[q]])
         for b in chain
     ]
+
+
+def matrix_strata(lts):
+    """Stratum chain by iterating largest_progressing_to from the full
+    relation until it stops changing, as a list of Relations."""
+    chain = [Relation.full(lts.n_states)]
+    while True:
+        nxt = largest_progressing_to(lts, chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
+def scan_lrf(seq, r):
+    """lrf(r) by scanning the strata for the first one that loses a pair of r."""
+    for k in range(1, seq.epsilon + 1):
+        if not r.is_subset(seq.strata[k]):
+            return seq.strata[k - 1]
+    return seq.strata[seq.epsilon]
 
 
 def all_relations(n):

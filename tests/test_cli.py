@@ -158,6 +158,17 @@ class TestErrorsAndPlumbing:
         assert code == 0
         assert out.startswith("digraph lts {")
 
+    def test_memory_error_is_input_error(self, capsys, t2_file, monkeypatch):
+        def too_large(lts):
+            raise MemoryError("Unable to allocate 400 GiB")
+
+        monkeypatch.setattr("upto.cli.compute_strata", too_large)
+        code, out, err = run_cli(capsys, "bisim", t2_file)
+        assert code == 2
+        assert out == ""
+        assert err == "error: input too large: Unable to allocate 400 GiB\n"
+        assert "Traceback" not in err
+
     def test_verify_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--samples", "30")
         assert code == 0

@@ -16,7 +16,7 @@ from upto import (
 )
 from upto.sampling import progression_sample, random_lts_pool, random_relation, random_subrelation
 
-from helpers import small_lts
+from helpers import lts_with_relations, scan_lrf, small_lts
 
 
 @pytest.fixture
@@ -53,6 +53,14 @@ class TestLrf:
             k = t2_seq.strata.index(image)
             if k < t2_seq.epsilon:
                 assert not r.is_subset(t2_seq.stratum(k + 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(lts_with_relations(max_states=5, max_labels=3))
+    def test_split_depth_agrees_with_scan(self, case):
+        lts, r = case
+        seq = compute_strata(lts)
+        assert lrf(seq, r) == scan_lrf(seq, r)
+        assert seq.strata.index(lrf(seq, r)) == seq.depth(r)
 
 
 class TestRespectfulnessChecks:

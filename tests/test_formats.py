@@ -1,5 +1,6 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -26,6 +27,16 @@ from upto.formats import (
 from helpers import small_lts
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
+
+
+@st.composite
+def text_labelled_lts(draw):
+    n = draw(st.integers(1, 4))
+    label = st.text(min_size=1, max_size=6).filter(lambda t: t.splitlines() == [t])
+    triples = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), label, st.integers(0, n - 1)), max_size=8)
+    )
+    return Lts([str(i) for i in range(n)], triples)
 
 
 class TestParseAut:
@@ -88,6 +99,11 @@ class TestRenderAut:
     def test_round_trip(self, lts):
         assert parse_aut(render_aut(lts)) == lts
 
+    @settings(max_examples=200, deadline=None)
+    @given(text_labelled_lts())
+    def test_round_trip_text_labels(self, lts):
+        assert parse_aut(render_aut(lts)) == lts
+
 
 class TestRelationDocuments:
     def test_empty_file(self, t2):
@@ -115,6 +131,10 @@ class TestRelationDocuments:
         # this system has display names p, q1, q2
         r = parse_relation("p q1\n", loop_vs_cycle)
         assert r == Relation.from_pairs(3, [(0, 1)])
+
+    def test_name_wins_over_index(self):
+        lts = Lts(["1", "0"], [])
+        assert parse_relation("1 0\n", lts) == Relation.from_pairs(2, [(0, 1)])
 
     def test_unresolvable_name(self, t2):
         with pytest.raises(RelationParseError, match="cannot resolve"):

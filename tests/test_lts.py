@@ -32,6 +32,15 @@ class TestLtsConstruction:
         with pytest.raises(ValueError):
             Lts(["s"], [(0, "", 0)])
 
+    @pytest.mark.parametrize(
+        "brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_break_in_label_rejected(self, brk):
+        with pytest.raises(ValueError, match="line break"):
+            Lts(["s"], [(0, f"a{brk}b", 0)])
+        with pytest.raises(ValueError, match="line break"):
+            Lts(["s"], [(0, f"a{brk}", 0)])
+
     def test_transitions_sorted(self):
         lts = Lts(["s", "t"], [(0, "b", 1), (0, "a", 1), (0, "a", 0)])
         assert lts.transitions[0] == ((0, 0), (0, 1), (1, 1))

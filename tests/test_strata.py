@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -8,7 +10,7 @@ from upto.gallery import build_T
 from upto.sampling import random_lts
 from upto.strata import StrataSequence, bisimilarity, stratum
 
-from helpers import all_relations, refinement_strata, small_lts
+from helpers import all_relations, matrix_strata, refinement_strata, small_lts
 
 
 class TestExamples:
@@ -61,6 +63,20 @@ class TestSequenceValidation:
     def test_rejects_non_decreasing_chain(self, t2):
         with pytest.raises(ValueError):
             StrataSequence(t2, (Relation.full(3), Relation.full(3)), 1)
+
+    def test_rejects_non_equivalence(self, t2):
+        not_symmetric = Relation.identity(3) | Relation.from_pairs(3, [(1, 2)])
+        with pytest.raises(ValueError, match="not an equivalence"):
+            StrataSequence(t2, (Relation.full(3), not_symmetric), 1)
+
+    def test_rejects_rows_that_do_not_refine(self, t2):
+        with pytest.raises(ValueError, match="strictly below"):
+            StrataSequence.from_blocks(t2, np.array([[0, 0, 0], [0, 1, 1], [0, 0, 1]]))
+
+    def test_relations_and_rows_agree(self, t2):
+        seq = compute_strata(t2)
+        assert StrataSequence(t2, seq.strata, seq.epsilon) == seq
+        assert StrataSequence.from_blocks(t2, seq.blocks) == seq
 
 
 class TestInvariants:
@@ -132,6 +148,35 @@ class TestOracles:
             if progresses_to(lts, x, x).holds:
                 union = union | x
         assert bisimilarity(compute_strata(lts)) == union
+
+    def test_matches_matrix_operator_on_random_systems(self):
+        rng = random.Random(2024)
+        for _ in range(30):
+            n = rng.randint(1, 60)
+            lts = random_lts(rng, n, rng.randint(1, 3), rng.uniform(0.5, 3.0) / n)
+            assert compute_strata(lts).strata == tuple(matrix_strata(lts))
+
+    def test_matches_matrix_operator_on_ladders(self):
+        for n in range(31):
+            lts = build_T(n).lts
+            assert compute_strata(lts).strata == tuple(matrix_strata(lts))
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        # one 20000 x 20000 boolean matrix alone is 400 MB
+        n, rng = 20000, random.Random(5)
+        lts = Lts(
+            [str(i) for i in range(n)],
+            [(rng.randrange(n), a, rng.randrange(n)) for a in "ab" for _ in range(12 * n // 5)],
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            seq = compute_strata(lts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert seq.epsilon >= 3
+        assert peak < 64 * 2**20
 
     def test_gallery_ladder_epsilon(self):
         for n in range(6):
