@@ -120,6 +120,10 @@ def parse_relation_document(text: str) -> RelationDocument:
         if isinstance(data, dict):
             name = data.get("name")
             data = data.get("pairs")
+        # the name is printed on a report line of its own
+        one_line = isinstance(name, str) and name.splitlines() in ([], [name])
+        if name is not None and not one_line:
+            raise RelationParseError(f"relation name {name!r} must be a string on one line")
         if not isinstance(data, list):
             raise RelationParseError("relation document must contain a list of pairs")
         pairs = []
@@ -182,13 +186,15 @@ def parse_lattice_document(text: str) -> LatticeDocument:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise LatticeParseError(f"invalid JSON lattice document: {e}") from None
-    if not isinstance(data, dict) or "elements" not in data:
-        raise LatticeParseError("lattice document must be an object with 'elements'")
+    if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
+        raise LatticeParseError("lattice document must be an object with an 'elements' list")
     elements = tuple(str(e) for e in data["elements"])
     have = [k for k in ("cover", "leq") if k in data]
     if len(have) != 1:
         raise LatticeParseError("lattice document needs exactly one of 'cover' or 'leq'")
     kind = have[0]
+    if not isinstance(data[kind], list):
+        raise LatticeParseError(f"lattice document's {kind!r} must be a list of pairs")
     pairs = []
     for entry in data[kind]:
         if not (isinstance(entry, list) and len(entry) == 2):

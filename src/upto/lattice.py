@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lts import Lts, Relation, _pair_progresses, bool_mm
+from .lts import Lts, Relation, _violations, bool_mm
 
 
 class LatticeValidationError(ValueError):
@@ -542,8 +542,7 @@ def lts_to_lattice(
     n = lts.n_states
     if n > max_states:
         raise ValueError(f"LTS has {n} states; bound is {max_states}")
-    nbits = n * n
-    m = 1 << nbits
+    m = 1 << (n * n)
     pairs = _pair_order(n)
 
     names = [relation_element_name(n, mask) for mask in range(m)]
@@ -553,11 +552,8 @@ def lts_to_lattice(
 
     rel = np.zeros((m, m), dtype=bool)
     for s_mask in range(m):
-        target = frozenset(pairs[k] for k in range(nbits) if s_mask >> k & 1)
-        ok = 0
-        for k, (p, q) in enumerate(pairs):
-            if _pair_progresses(lts, p, q, target):
-                ok |= 1 << k
+        failing = {v.pair for v in _violations(lts, pairs, element_relation(n, s_mask).matrix)}
+        ok = sum(1 << k for k, pair in enumerate(pairs) if pair not in failing)
         rel[:, s_mask] = (idx & ~ok) == 0
     progression = LatticeProgression(lattice, rel)
     return lattice, progression

@@ -2,10 +2,12 @@
 
 A relation R progresses to S when every transition out of either side of a
 pair in R can be matched by the other side, with the derivative pair landing
-in S.  The two operations here are the per-pair progress test with
-diagnostics, which the proof checker runs, and the largest relation
-progressing to a fixed target, the general operator that the stratum chain
-(built by partition refinement in ``strata``) is tested against.
+in S.  The two operations here are the per-pair progress test and the
+largest relation progressing to a fixed target, the general operator that
+the stratum chain (built by partition refinement in ``strata``) is tested
+against.  One lazy generator of unmatched moves serves the per-pair test
+twice: drained, it is the diagnosis the proof checker reports; stopped at
+its first item, it is the early-exit test.
 """
 
 from __future__ import annotations
@@ -304,39 +306,24 @@ class ProgressDiagnosis:
             raise ValueError("holds must be true iff there are no violations")
 
 
-class _MatrixPairs:
-    """Pair membership straight off the boolean matrix, no setup cost."""
+def _violations(
+    lts: Lts, pairs: Iterable[tuple[int, int]], smat: np.ndarray
+) -> Iterator[ProgressViolation]:
+    """Each unmatched move of each pair against the target matrix, lazily.
 
-    __slots__ = ("_mat",)
-
-    def __init__(self, mat: np.ndarray):
-        self._mat = mat
-
-    def __contains__(self, pair) -> bool:
-        return bool(self._mat[pair])
-
-
-def _membership(s: "Relation"):
-    # building a frozenset of a big stratum costs O(n^2) time and memory;
-    # past a small size, raw matrix lookups win because candidate relations
-    # (the things iterated over) stay small
-    if s.n_states <= 64:
-        return s.pair_set
-    return _MatrixPairs(s.matrix)
-
-
-def _pair_progresses(lts: Lts, p: int, q: int, target_pairs) -> bool:
-    """Both progress clauses for the single pair (p, q), against target_pairs."""
+    Order: pairs as given, then labels, then the left state's moves
+    (clause 1) before the right state's (clause 2).
+    """
     succ = lts._succ
-    for a in range(len(lts.labels)):
-        ps, qs = succ[p][a], succ[q][a]
-        for p1 in ps:
-            if not any((p1, q1) in target_pairs for q1 in qs):
-                return False
-        for q1 in qs:
-            if not any((p1, q1) in target_pairs for p1 in ps):
-                return False
-    return True
+    for p, q in pairs:
+        for a, label in enumerate(lts.labels):
+            ps, qs = succ[p][a], succ[q][a]
+            for p1 in ps:
+                if not any(smat[p1, q1] for q1 in qs):
+                    yield ProgressViolation((p, q), "left", label.text, p, p1)
+            for q1 in qs:
+                if not any(smat[p1, q1] for p1 in ps):
+                    yield ProgressViolation((p, q), "right", label.text, q, q1)
 
 
 def progresses_to(lts: Lts, r: Relation, s: Relation) -> ProgressDiagnosis:
@@ -348,31 +335,15 @@ def progresses_to(lts: Lts, r: Relation, s: Relation) -> ProgressDiagnosis:
     """
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    succ = lts._succ
-    spairs = _membership(s)
-    violations = []
-    for p, q in r.pairs:
-        for a in range(len(lts.labels)):
-            ps, qs = succ[p][a], succ[q][a]
-            for p1 in ps:
-                if not any((p1, q1) in spairs for q1 in qs):
-                    violations.append(
-                        ProgressViolation((p, q), "left", lts.labels[a].text, p, p1)
-                    )
-            for q1 in qs:
-                if not any((p1, q1) in spairs for p1 in ps):
-                    violations.append(
-                        ProgressViolation((p, q), "right", lts.labels[a].text, q, q1)
-                    )
-    return ProgressDiagnosis(holds=not violations, violations=tuple(violations))
+    violations = tuple(_violations(lts, r.pairs, s.matrix))
+    return ProgressDiagnosis(holds=not violations, violations=violations)
 
 
 def progress_holds(lts: Lts, r: Relation, s: Relation) -> bool:
-    """Like progresses_to(...).holds, with early exit and no diagnosis."""
+    """Like progresses_to(...).holds, stopping at the first violation."""
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    spairs = _membership(s)
-    return all(_pair_progresses(lts, p, q, spairs) for p, q in r.pairs)
+    return next(_violations(lts, r.pairs, s.matrix), None) is None
 
 
 def largest_progressing_to(lts: Lts, s: Relation) -> Relation:

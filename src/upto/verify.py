@@ -3,6 +3,13 @@
 Runs against pools of randomly generated systems plus fixed small lattices,
 with brute-force enumeration oracles wherever the state space allows.  The
 report is deterministic for a fixed seed and sample count.
+
+Each check is a generator over its cases that yields ``(cases, failure)``:
+the number of cases the step just ran (0 when it only tests a precondition
+or a further condition of a case already counted) and ``None`` or the
+detail to report.  ``run_verification`` stops a check at its first failure.
+To add a check, write one such generator and add one ``(name, generator)``
+line to ``CHECKS``.
 """
 
 from __future__ import annotations
@@ -102,11 +109,11 @@ def _pick(rng: random.Random, items):
 
 
 class _Suite:
+    """What every check shares: one random stream, systems, progressions."""
+
     def __init__(self, seed: int, samples: int):
-        self.seed = seed
         self.samples = samples
         self.rng = random.Random(seed)
-        self.report = VerificationReport(seed=seed, samples=samples)
 
         pool_n = _clamp(samples // 40, 6, 30)
         pool = random_lts_pool(self.rng, pool_n)
@@ -118,7 +125,7 @@ class _Suite:
         ]
         self.small = [(l, s) for (l, s) in self.systems if l.n_states <= 3]
 
-        self.lattices: list[tuple[str, FiniteLattice]] = [
+        lattices: list[tuple[str, FiniteLattice]] = [
             ("chain2", chain_lattice(2)),
             ("chain3", chain_lattice(3)),
             ("chain4", chain_lattice(4)),
@@ -131,449 +138,343 @@ class _Suite:
         prog_budget = _clamp(samples // 60, 3, 16)
         prog_budget_5 = _clamp(samples // 150, 2, 6)
         self.progressions = []
-        for name, lat in self.lattices:
+        for name, lat in lattices:
             budget = prog_budget if lat.size <= 4 else prog_budget_5
             for _ in range(budget):
                 self.progressions.append(
                     (name, lat, random_lattice_progression(self.rng, lat, self.rng.uniform(0.05, 0.4)))
                 )
 
-    def add(self, name: str, passed: bool, cases: int, detail: str = ""):
-        self.report.checks.append(CheckResult(name, passed, cases, detail))
 
-    # lts_core invariants
+def _progress_monotone(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples):
+        lts, _seq = _pick(rng, suite.systems)
+        r, s = progression_sample(rng, lts)
+        if not progresses_to(lts, r, s).holds:
+            yield 0, "sampler produced a bad pair"
+        sub = random_subrelation(rng, r)
+        sup = s | random_relation(rng, lts.n_states, 0.3)
+        ok = progresses_to(lts, sub, sup).holds
+        yield 1, None if ok else f"shrunk source / grown target lost progress on {lts!r}"
 
-    def check_progress_monotone(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples):
-            lts, _seq = _pick(rng, self.systems)
-            r, s = progression_sample(rng, lts)
-            if not progresses_to(lts, r, s).holds:
-                self.add("progress-monotone", False, cases, "sampler produced a bad pair")
-                return
-            sub = random_subrelation(rng, r)
-            sup = s | random_relation(rng, lts.n_states, 0.3)
-            cases += 1
-            if not progresses_to(lts, sub, sup).holds:
-                self.add(
-                    "progress-monotone", False, cases,
-                    f"shrunk source / grown target lost progress on {lts!r}",
-                )
-                return
-        self.add("progress-monotone", True, cases)
 
-    def check_progress_union_closure(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples):
-            lts, _seq = _pick(rng, self.systems)
-            s = random_relation(rng, lts.n_states)
-            bound = largest_progressing_to(lts, s)
-            r1 = random_subrelation(rng, bound)
-            r2 = random_subrelation(rng, bound)
-            if not (progresses_to(lts, r1, s).holds and progresses_to(lts, r2, s).holds):
-                continue
-            cases += 1
-            if not progresses_to(lts, r1 | r2, s).holds:
-                self.add("progress-union-closure", False, cases, f"union broke progress on {lts!r}")
-                return
-        self.add("progress-union-closure", True, cases)
+def _progress_union_closure(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples):
+        lts, _seq = _pick(rng, suite.systems)
+        s = random_relation(rng, lts.n_states)
+        bound = largest_progressing_to(lts, s)
+        r1 = random_subrelation(rng, bound)
+        r2 = random_subrelation(rng, bound)
+        if progresses_to(lts, r1, s).holds and progresses_to(lts, r2, s).holds:
+            ok = progresses_to(lts, r1 | r2, s).holds
+            yield 1, None if ok else f"union broke progress on {lts!r}"
 
-    def check_largest_characterization(self):
-        rng, cases = self.rng, 0
-        budget = _clamp(self.samples // 150, 1, 8)
-        for i in range(budget):
-            lts, _seq = self.small[i % len(self.small)]
-            everything = _all_relations(lts.n_states)
-            for _ in range(2):
-                s = random_relation(rng, lts.n_states)
-                computed = largest_progressing_to(lts, s)
-                union = Relation.empty(lts.n_states)
-                for x in everything:
-                    if progress_holds(lts, x, s):
-                        union = union | x
-                cases += 1
-                if union != computed:
-                    self.add(
-                        "largest-characterization", False, cases,
-                        f"enumerated union differs from computed largest on {lts!r}",
-                    )
-                    return
-        self.add("largest-characterization", True, cases)
 
-    def check_progress_iff_subset(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples):
-            lts, _seq = _pick(rng, self.systems)
-            r = random_relation(rng, lts.n_states)
-            s = random_relation(rng, lts.n_states)
-            cases += 1
-            direct = progresses_to(lts, r, s).holds
-            via_largest = r.is_subset(largest_progressing_to(lts, s))
-            if direct != via_largest:
-                self.add("progress-iff-subset", False, cases, f"disagreement on {lts!r}")
-                return
-        self.add("progress-iff-subset", True, cases)
-
-    # stratification invariants
-
-    def check_strata_decreasing(self):
-        cases = 0
-        for _lts, seq in self.systems:
-            for k in range(seq.epsilon):
-                cases += 1
-                if not (seq.strata[k + 1] < seq.strata[k]):
-                    self.add("strata-decreasing", False, cases, f"stratum {k + 1} not strictly below")
-                    return
-        self.add("strata-decreasing", True, cases)
-
-    def check_strata_index_monotone(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples // 2):
-            _lts, seq = _pick(rng, self.systems)
-            j = rng.randint(0, seq.epsilon + 3)
-            k = rng.randint(j, seq.epsilon + 6)
-            cases += 1
-            if not seq.stratum(k).is_subset(seq.stratum(j)):
-                self.add("strata-index-monotone", False, cases, f"stratum {k} not inside stratum {j}")
-                return
-        self.add("strata-index-monotone", True, cases)
-
-    def check_strata_progress_step(self):
-        cases = 0
-        for lts, seq in self.systems:
-            for k in range(seq.epsilon):
-                cases += 1
-                if not progresses_to(lts, seq.strata[k + 1], seq.strata[k]).holds:
-                    self.add("strata-progress-step", False, cases, f"step {k + 1} on {lts!r}")
-                    return
-        self.add("strata-progress-step", True, cases)
-
-    def check_bisimilarity_self_progress(self):
-        cases = 0
-        for lts, seq in self.systems:
-            cases += 1
-            if not progresses_to(lts, seq.bisimilarity(), seq.bisimilarity()).holds:
-                self.add("bisimilarity-self-progress", False, cases, f"{lts!r}")
-                return
-        self.add("bisimilarity-self-progress", True, cases)
-
-    def check_strata_fixpoint(self):
-        cases = 0
-        for lts, seq in self.systems:
-            stable = seq.strata[seq.epsilon]
-            once = largest_progressing_to(lts, stable)
-            twice = largest_progressing_to(lts, once)
-            cases += 1
-            if once != stable or twice != stable:
-                self.add("strata-fixpoint", False, cases, f"{lts!r}")
-                return
-        self.add("strata-fixpoint", True, cases)
-
-    def check_strata_equivalence(self):
-        cases = 0
-        for _lts, seq in self.systems:
-            for stratum in seq.strata:
-                cases += 1
-                if not stratum.is_equivalence():
-                    self.add("strata-equivalence", False, cases, "non-equivalence stratum")
-                    return
-        self.add("strata-equivalence", True, cases)
-
-    def check_bisimilarity_enumerated(self):
-        cases = 0
-        budget = _clamp(self.samples // 100, 2, 10)
-        for i in range(budget):
-            lts, seq = self.small[i % len(self.small)]
+def _largest_characterization(suite: _Suite):
+    for i in range(_clamp(suite.samples // 150, 1, 8)):
+        lts, _seq = suite.small[i % len(suite.small)]
+        everything = _all_relations(lts.n_states)
+        for _ in range(2):
+            s = random_relation(suite.rng, lts.n_states)
+            computed = largest_progressing_to(lts, s)
             union = Relation.empty(lts.n_states)
-            for x in _all_relations(lts.n_states):
-                if progress_holds(lts, x, x):
+            for x in everything:
+                if progress_holds(lts, x, s):
                     union = union | x
-            cases += 1
-            if union != seq.bisimilarity():
-                self.add(
-                    "bisimilarity-enumerated", False, cases,
-                    f"union of self-progressing relations differs on {lts!r}",
-                )
-                return
-        self.add("bisimilarity-enumerated", True, cases)
+            ok = union == computed
+            yield 1, None if ok else f"enumerated union differs from computed largest on {lts!r}"
 
-    # companion invariants
 
-    def check_lrf_monotone(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples):
-            _lts, seq = _pick(rng, self.systems)
-            s = random_relation(rng, seq.lts.n_states)
-            r = random_subrelation(rng, s)
-            cases += 1
-            if not lrf(seq, r).is_subset(lrf(seq, s)):
-                self.add("lrf-monotone", False, cases, f"on {seq.lts!r}")
-                return
-        self.add("lrf-monotone", True, cases)
+def _progress_iff_subset(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples):
+        lts, _seq = _pick(rng, suite.systems)
+        r = random_relation(rng, lts.n_states)
+        s = random_relation(rng, lts.n_states)
+        direct = progresses_to(lts, r, s).holds
+        via_largest = r.is_subset(largest_progressing_to(lts, s))
+        yield 1, None if direct == via_largest else f"disagreement on {lts!r}"
 
-    def check_lrf_respectful(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples):
-            lts, seq = _pick(rng, self.systems)
-            r, s = progression_sample(rng, lts)
-            if not (r.is_subset(s) and progresses_to(lts, r, s).holds):
-                continue
-            cases += 1
+
+def _strata_decreasing(suite: _Suite):
+    for _lts, seq in suite.systems:
+        for k in range(seq.epsilon):
+            ok = seq.strata[k + 1] < seq.strata[k]
+            yield 1, None if ok else f"stratum {k + 1} not strictly below"
+
+
+def _strata_index_monotone(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples // 2):
+        _lts, seq = _pick(rng, suite.systems)
+        j = rng.randint(0, seq.epsilon + 3)
+        k = rng.randint(j, seq.epsilon + 6)
+        ok = seq.stratum(k).is_subset(seq.stratum(j))
+        yield 1, None if ok else f"stratum {k} not inside stratum {j}"
+
+
+def _strata_progress_step(suite: _Suite):
+    for lts, seq in suite.systems:
+        for k in range(seq.epsilon):
+            ok = progresses_to(lts, seq.strata[k + 1], seq.strata[k]).holds
+            yield 1, None if ok else f"step {k + 1} on {lts!r}"
+
+
+def _bisimilarity_self_progress(suite: _Suite):
+    for lts, seq in suite.systems:
+        ok = progresses_to(lts, seq.bisimilarity(), seq.bisimilarity()).holds
+        yield 1, None if ok else f"{lts!r}"
+
+
+def _strata_fixpoint(suite: _Suite):
+    for lts, seq in suite.systems:
+        stable = seq.strata[seq.epsilon]
+        once = largest_progressing_to(lts, stable)
+        twice = largest_progressing_to(lts, once)
+        yield 1, None if once == stable and twice == stable else f"{lts!r}"
+
+
+def _strata_equivalence(suite: _Suite):
+    for _lts, seq in suite.systems:
+        for stratum in seq.strata:
+            yield 1, None if stratum.is_equivalence() else "non-equivalence stratum"
+
+
+def _bisimilarity_enumerated(suite: _Suite):
+    for i in range(_clamp(suite.samples // 100, 2, 10)):
+        lts, seq = suite.small[i % len(suite.small)]
+        union = Relation.empty(lts.n_states)
+        for x in _all_relations(lts.n_states):
+            if progress_holds(lts, x, x):
+                union = union | x
+        ok = union == seq.bisimilarity()
+        yield 1, None if ok else f"union of self-progressing relations differs on {lts!r}"
+
+
+def _lrf_monotone(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples):
+        _lts, seq = _pick(rng, suite.systems)
+        s = random_relation(rng, seq.lts.n_states)
+        r = random_subrelation(rng, s)
+        yield 1, None if lrf(seq, r).is_subset(lrf(seq, s)) else f"on {seq.lts!r}"
+
+
+def _lrf_respectful(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples):
+        lts, seq = _pick(rng, suite.systems)
+        r, s = progression_sample(rng, lts)
+        if r.is_subset(s) and progresses_to(lts, r, s).holds:
             fr, fs = lrf(seq, r), lrf(seq, s)
-            if not fr.is_subset(fs) or not progresses_to(lts, fr, fs).holds:
-                self.add("lrf-respectful", False, cases, f"on {lts!r}")
-                return
-        self.add("lrf-respectful", True, cases)
+            ok = fr.is_subset(fs) and progresses_to(lts, fr, fs).holds
+            yield 1, None if ok else f"on {lts!r}"
 
-    def check_lrf_sound_fixpoint(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples):
-            _lts, seq = _pick(rng, self.systems)
-            r = random_subrelation(rng, seq.bisimilarity())
-            cases += 1
-            if lrf(seq, r) != seq.bisimilarity():
-                self.add("lrf-sound-fixpoint", False, cases, f"on {seq.lts!r}")
-                return
-        self.add("lrf-sound-fixpoint", True, cases)
 
-    def check_lrf_largest(self):
-        rng, cases = self.rng, 0
-        per_system = _clamp(self.samples // len(self.systems), 5, 100)
-        for lts, seq in self.systems:
-            rs = [random_relation(rng, lts.n_states) for _ in range(per_system)]
-            for f in catalog(lts, seq):
-                verdict = check_lrf_largest(seq, f, rs)
-                cases += verdict.samples_checked
-                if not verdict.holds:
-                    ce = verdict.counterexample
-                    self.add("lrf-largest", False, cases, f"{ce.function_name} escapes lrf on {lts!r}")
-                    return
-        self.add("lrf-largest", True, cases)
+def _lrf_sound_fixpoint(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples):
+        _lts, seq = _pick(rng, suite.systems)
+        r = random_subrelation(rng, seq.bisimilarity())
+        yield 1, None if lrf(seq, r) == seq.bisimilarity() else f"on {seq.lts!r}"
 
-    def check_lrf_idempotent(self):
-        rng, cases = self.rng, 0
-        for _ in range(self.samples):
-            _lts, seq = _pick(rng, self.systems)
-            r = random_relation(rng, seq.lts.n_states)
-            image = lrf(seq, r)
-            cases += 1
-            if lrf(seq, image) != image:
-                self.add("lrf-idempotent", False, cases, f"on {seq.lts!r}")
-                return
-        self.add("lrf-idempotent", True, cases)
 
-    # checker invariants
-
-    def check_checker_soundness(self):
-        rng, cases = self.rng, 0
-        budget = _clamp(self.samples // 5, 20, 400)
-        for _ in range(budget):
-            lts, seq = _pick(rng, self.systems)
-            functions = catalog(lts, seq) + [lrf_function(seq)]
-            f = _pick(rng, functions)
-            r = random_relation(rng, lts.n_states)
-            report = check_upto(lts, r, f, seq=seq)
-            cases += 1
-            if report.conclusion == CONTAINED:
-                if not report.cross_check or not r.is_subset(seq.bisimilarity()):
-                    self.add("checker-soundness", False, cases, f"{f.name} on {lts!r}")
-                    return
-        self.add("checker-soundness", True, cases)
-
-    def check_checker_maximality(self):
-        rng, cases = self.rng, 0
-        budget = _clamp(self.samples // 10, 10, 100)
-        for _ in range(budget):
-            lts, seq = _pick(rng, self.systems)
-            r = random_relation(rng, lts.n_states)
-            any_success = any(
-                check_upto(lts, r, f, seq=seq).conclusion == CONTAINED
-                for f in catalog(lts, seq)
+def _lrf_largest(suite: _Suite):
+    per_system = _clamp(suite.samples // len(suite.systems), 5, 100)
+    for lts, seq in suite.systems:
+        rs = [random_relation(suite.rng, lts.n_states) for _ in range(per_system)]
+        for f in catalog(lts, seq):
+            verdict = check_lrf_largest(seq, f, rs)
+            yield verdict.samples_checked, None if verdict.holds else (
+                f"{verdict.counterexample.function_name} escapes lrf on {lts!r}"
             )
-            cases += 1
-            if any_success and check_companion(lts, r).conclusion != CONTAINED:
-                self.add(
-                    "checker-maximality", False, cases,
-                    f"a catalog function succeeded but lrf failed on {lts!r}",
-                )
-                return
-        self.add("checker-maximality", True, cases)
 
-    # gallery invariants
 
-    def check_gallery_law(self):
-        cases = 0
-        for n in range(GALLERY_MAX + 1):
-            verdict = verify_gallery(n)
-            cases += verdict.checked
-            if not verdict.passed:
-                self.add("gallery-law", False, cases, verdict.discrepancy)
-                return
-        self.add("gallery-law", True, cases)
+def _lrf_idempotent(suite: _Suite):
+    rng = suite.rng
+    for _ in range(suite.samples):
+        _lts, seq = _pick(rng, suite.systems)
+        image = lrf(seq, random_relation(rng, seq.lts.n_states))
+        yield 1, None if lrf(seq, image) == image else f"on {seq.lts!r}"
 
-    def check_gallery_consecutive_distinct(self):
-        cases = 0
-        for n in range(GALLERY_MAX + 1):
-            seq = compute_strata(build_T(n + 1).lts)
-            cases += 1
-            if seq.stratum(n) == seq.stratum(n + 1):
-                self.add("gallery-consecutive-distinct", False, cases, f"strata {n} and {n + 1} agree on T_{n + 1}")
-                return
-        self.add("gallery-consecutive-distinct", True, cases)
 
-    # lattice invariants
-
-    def check_chain_decreasing(self):
-        cases = 0
-        for name, lat, prog in self.progressions:
-            chain = z_chain(lat, prog)
-            for k in range(chain.stable_index):
-                cases += 1
-                if not lat.le(chain.zs[k + 1], chain.zs[k]) or chain.zs[k + 1] == chain.zs[k]:
-                    self.add("lattice-chain-decreasing", False, cases, f"on {name}")
-                    return
-        self.add("lattice-chain-decreasing", True, cases)
-
-    def check_chain_step_related(self):
-        cases = 0
-        for name, lat, prog in self.progressions:
-            chain = z_chain(lat, prog)
-            steps = list(zip(chain.zs[1:], chain.zs[:-1]))
-            steps.append((chain.zs[-1], chain.zs[-1]))
-            for nxt, cur in steps:
-                cases += 1
-                if not prog.rel[nxt, cur]:
-                    self.add("lattice-chain-step-related", False, cases, f"on {name}")
-                    return
-        self.add("lattice-chain-step-related", True, cases)
-
-    def check_companion_monotone(self):
-        cases = 0
-        for name, lat, prog in self.progressions:
-            chain = z_chain(lat, prog)
-            comp = [companion_at(lat, prog, chain, x) for x in range(lat.size)]
-            for x in range(lat.size):
-                for y in range(lat.size):
-                    if lat.le(x, y):
-                        cases += 1
-                        if not lat.le(comp[x], comp[y]):
-                            self.add("lattice-companion-monotone", False, cases, f"on {name}")
-                            return
-        self.add("lattice-companion-monotone", True, cases)
-
-    def check_companion_in_classes(self):
-        cases = 0
-        for name, lat, prog in self.progressions:
-            chain = z_chain(lat, prog)
-            comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
-            cases += 1
-            if not (
-                is_r_monotone(lat, prog, comp)
-                and is_monotone(lat, comp)
-                and is_compatible(lat, prog, comp)
-            ):
-                self.add("lattice-companion-in-classes", False, cases, f"on {name}")
-                return
-        self.add("lattice-companion-in-classes", True, cases)
-
-    def check_largest_coincidence(self):
-        cases = 0
-        for name, lat, prog in self.progressions:
-            chain = z_chain(lat, prog)
-            comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
-            cases += 1
-            if brute_force_largest(lat, prog, "r_monotone") != comp:
-                self.add("lattice-largest-coincidence", False, cases, f"r_monotone mode on {name}")
-                return
-            if brute_force_largest(lat, prog, "compatible") != comp:
-                self.add("lattice-largest-coincidence", False, cases, f"compatible mode on {name}")
-                return
-        self.add("lattice-largest-coincidence", True, cases)
-
-    def check_bridge_agreement(self):
-        cases = 0
-        bridge_systems = [build_T(1).lts]
-        bridge_systems += [l for (l, _s) in self.systems if l.n_states <= 2][:3]
-        for lts in bridge_systems:
-            lat, prog = lts_to_lattice(lts, max_states=2)
-            chain = z_chain(lat, prog)
-            seq = compute_strata(lts)
-            for k in range(max(chain.stable_index, seq.epsilon) + 2):
-                cases += 1
-                z = chain.zs[min(k, chain.stable_index)]
-                if z != relation_element_index(seq.stratum(k)):
-                    self.add("lattice-bridge-agreement", False, cases, f"chain mismatch at {k} on {lts!r}")
-                    return
-            for mask in range(lat.size):
-                r = element_relation(lts.n_states, mask)
-                cases += 2
-                if companion_at(lat, prog, chain, mask) != relation_element_index(lrf(seq, r)):
-                    self.add("lattice-bridge-agreement", False, cases, f"companion mismatch on {lts!r}")
-                    return
-                if s_of(lat, prog, mask) != relation_element_index(largest_progressing_to(lts, r)):
-                    self.add("lattice-bridge-agreement", False, cases, f"s mismatch on {lts!r}")
-                    return
-        self.add("lattice-bridge-agreement", True, cases)
-
-    # io invariants
-
-    def check_aut_round_trip(self):
-        cases = 0
-        for lts, _seq in self.systems:
-            cases += 1
-            if parse_aut(render_aut(lts)) != lts:
-                self.add("aut-round-trip", False, cases, f"{lts!r}")
-                return
-        self.add("aut-round-trip", True, cases)
-
-    def note_monotone_classes(self):
-        # report-only: how r-monotonicity and compatibility overlap for
-        # monotone functions; no expectation is asserted either way
-        totals = [0, 0]
-        for name, lat, prog in self.progressions:
-            if lat.size > 4:
-                continue
-            c = classify_monotone_functions(lat, prog)
-            totals[0] += c.n_r_monotone_not_compatible
-            totals[1] += c.n_compatible_not_r_monotone
-        self.report.info.append(
-            "monotone-function-classes "
-            f"r_monotone_not_compatible={totals[0]} compatible_not_r_monotone={totals[1]}"
+def _checker_soundness(suite: _Suite):
+    rng = suite.rng
+    for _ in range(_clamp(suite.samples // 5, 20, 400)):
+        lts, seq = _pick(rng, suite.systems)
+        f = _pick(rng, catalog(lts, seq) + [lrf_function(seq)])
+        r = random_relation(rng, lts.n_states)
+        report = check_upto(lts, r, f, seq=seq)
+        ok = report.conclusion != CONTAINED or (
+            report.cross_check and r.is_subset(seq.bisimilarity())
         )
+        yield 1, None if ok else f"{f.name} on {lts!r}"
 
-    def run(self) -> VerificationReport:
-        self.check_progress_monotone()
-        self.check_progress_union_closure()
-        self.check_largest_characterization()
-        self.check_progress_iff_subset()
-        self.check_strata_decreasing()
-        self.check_strata_index_monotone()
-        self.check_strata_progress_step()
-        self.check_bisimilarity_self_progress()
-        self.check_strata_fixpoint()
-        self.check_strata_equivalence()
-        self.check_bisimilarity_enumerated()
-        self.check_lrf_monotone()
-        self.check_lrf_respectful()
-        self.check_lrf_sound_fixpoint()
-        self.check_lrf_largest()
-        self.check_lrf_idempotent()
-        self.check_checker_soundness()
-        self.check_checker_maximality()
-        self.check_gallery_law()
-        self.check_gallery_consecutive_distinct()
-        self.check_chain_decreasing()
-        self.check_chain_step_related()
-        self.check_companion_monotone()
-        self.check_companion_in_classes()
-        self.check_largest_coincidence()
-        self.check_bridge_agreement()
-        self.check_aut_round_trip()
-        self.note_monotone_classes()
-        return self.report
+
+def _checker_maximality(suite: _Suite):
+    rng = suite.rng
+    for _ in range(_clamp(suite.samples // 10, 10, 100)):
+        lts, seq = _pick(rng, suite.systems)
+        r = random_relation(rng, lts.n_states)
+        any_success = any(
+            check_upto(lts, r, f, seq=seq).conclusion == CONTAINED
+            for f in catalog(lts, seq)
+        )
+        ok = not any_success or check_companion(lts, r).conclusion == CONTAINED
+        yield 1, None if ok else f"a catalog function succeeded but lrf failed on {lts!r}"
+
+
+def _gallery_law(suite: _Suite):
+    for n in range(GALLERY_MAX + 1):
+        verdict = verify_gallery(n)
+        yield verdict.checked, verdict.discrepancy
+
+
+def _gallery_consecutive_distinct(suite: _Suite):
+    for n in range(GALLERY_MAX + 1):
+        seq = compute_strata(build_T(n + 1).lts)
+        ok = seq.stratum(n) != seq.stratum(n + 1)
+        yield 1, None if ok else f"strata {n} and {n + 1} agree on T_{n + 1}"
+
+
+def _chain_decreasing(suite: _Suite):
+    for name, lat, prog in suite.progressions:
+        zs = z_chain(lat, prog).zs
+        for k in range(len(zs) - 1):
+            ok = lat.le(zs[k + 1], zs[k]) and zs[k + 1] != zs[k]
+            yield 1, None if ok else f"on {name}"
+
+
+def _chain_step_related(suite: _Suite):
+    for name, lat, prog in suite.progressions:
+        zs = z_chain(lat, prog).zs
+        for nxt, cur in [*zip(zs[1:], zs[:-1]), (zs[-1], zs[-1])]:
+            yield 1, None if prog.rel[nxt, cur] else f"on {name}"
+
+
+def _companion_monotone(suite: _Suite):
+    for name, lat, prog in suite.progressions:
+        chain = z_chain(lat, prog)
+        comp = [companion_at(lat, prog, chain, x) for x in range(lat.size)]
+        for x in range(lat.size):
+            for y in range(lat.size):
+                if lat.le(x, y):
+                    yield 1, None if lat.le(comp[x], comp[y]) else f"on {name}"
+
+
+def _companion_in_classes(suite: _Suite):
+    for name, lat, prog in suite.progressions:
+        chain = z_chain(lat, prog)
+        comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
+        ok = (
+            is_r_monotone(lat, prog, comp)
+            and is_monotone(lat, comp)
+            and is_compatible(lat, prog, comp)
+        )
+        yield 1, None if ok else f"on {name}"
+
+
+def _largest_coincidence(suite: _Suite):
+    for name, lat, prog in suite.progressions:
+        chain = z_chain(lat, prog)
+        comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
+        for cases, mode in ((1, "r_monotone"), (0, "compatible")):
+            ok = brute_force_largest(lat, prog, mode) == comp
+            yield cases, None if ok else f"{mode} mode on {name}"
+
+
+def _bridge_agreement(suite: _Suite):
+    bridge_systems = [build_T(1).lts]
+    bridge_systems += [l for (l, _s) in suite.systems if l.n_states <= 2][:3]
+    for lts in bridge_systems:
+        lat, prog = lts_to_lattice(lts, max_states=2)
+        chain = z_chain(lat, prog)
+        seq = compute_strata(lts)
+        for k in range(max(chain.stable_index, seq.epsilon) + 2):
+            z = chain.zs[min(k, chain.stable_index)]
+            ok = z == relation_element_index(seq.stratum(k))
+            yield 1, None if ok else f"chain mismatch at {k} on {lts!r}"
+        for mask in range(lat.size):
+            r = element_relation(lts.n_states, mask)
+            ok = companion_at(lat, prog, chain, mask) == relation_element_index(lrf(seq, r))
+            yield 2, None if ok else f"companion mismatch on {lts!r}"
+            ok = s_of(lat, prog, mask) == relation_element_index(largest_progressing_to(lts, r))
+            yield 0, None if ok else f"s mismatch on {lts!r}"
+
+
+def _aut_round_trip(suite: _Suite):
+    for lts, _seq in suite.systems:
+        yield 1, None if parse_aut(render_aut(lts)) == lts else f"{lts!r}"
+
+
+# The checks in report order.  They draw from one random stream in this
+# order, so moving a line changes the cases of every later check.
+CHECKS = (
+    # lts core
+    ("progress-monotone", _progress_monotone),
+    ("progress-union-closure", _progress_union_closure),
+    ("largest-characterization", _largest_characterization),
+    ("progress-iff-subset", _progress_iff_subset),
+    # stratification
+    ("strata-decreasing", _strata_decreasing),
+    ("strata-index-monotone", _strata_index_monotone),
+    ("strata-progress-step", _strata_progress_step),
+    ("bisimilarity-self-progress", _bisimilarity_self_progress),
+    ("strata-fixpoint", _strata_fixpoint),
+    ("strata-equivalence", _strata_equivalence),
+    ("bisimilarity-enumerated", _bisimilarity_enumerated),
+    # companion
+    ("lrf-monotone", _lrf_monotone),
+    ("lrf-respectful", _lrf_respectful),
+    ("lrf-sound-fixpoint", _lrf_sound_fixpoint),
+    ("lrf-largest", _lrf_largest),
+    ("lrf-idempotent", _lrf_idempotent),
+    # checker
+    ("checker-soundness", _checker_soundness),
+    ("checker-maximality", _checker_maximality),
+    # gallery
+    ("gallery-law", _gallery_law),
+    ("gallery-consecutive-distinct", _gallery_consecutive_distinct),
+    # lattice
+    ("lattice-chain-decreasing", _chain_decreasing),
+    ("lattice-chain-step-related", _chain_step_related),
+    ("lattice-companion-monotone", _companion_monotone),
+    ("lattice-companion-in-classes", _companion_in_classes),
+    ("lattice-largest-coincidence", _largest_coincidence),
+    ("lattice-bridge-agreement", _bridge_agreement),
+    # io
+    ("aut-round-trip", _aut_round_trip),
+)
+
+
+def _monotone_classes(suite: _Suite) -> str:
+    # report-only: how r-monotonicity and compatibility overlap for
+    # monotone functions; no expectation is asserted either way
+    classes = [
+        classify_monotone_functions(lat, prog)
+        for _name, lat, prog in suite.progressions
+        if lat.size <= 4
+    ]
+    return (
+        "monotone-function-classes "
+        f"r_monotone_not_compatible={sum(c.n_r_monotone_not_compatible for c in classes)} "
+        f"compatible_not_r_monotone={sum(c.n_compatible_not_r_monotone for c in classes)}"
+    )
 
 
 def run_verification(seed: int = 0, samples: int = 200) -> VerificationReport:
     if samples < 1:
         raise ValueError("samples must be positive")
-    return _Suite(seed, samples).run()
+    suite = _Suite(seed, samples)
+    report = VerificationReport(seed=seed, samples=samples)
+    for name, check in CHECKS:
+        cases, failure = 0, None
+        for step_cases, failure in check(suite):
+            cases += step_cases
+            if failure is not None:
+                break
+        report.checks.append(CheckResult(name, failure is None, cases, failure or ""))
+    report.info.append(_monotone_classes(suite))
+    return report

@@ -1,9 +1,12 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from upto.cli import main
+from upto.gallery import GalleryVerdict, verify_gallery
+from upto.lts import ProgressDiagnosis, ProgressViolation
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
 LOOP_CYCLE_AUT = 'des (0,3,3)\n(0,"a",0)\n(1,"a",2)\n(2,"a",1)\n'
@@ -12,6 +15,7 @@ DIAMOND_JSON = (
     '{"elements": ["bot", "x", "y", "top"],'
     ' "cover": [["bot","x"],["bot","y"],["x","top"],["y","top"]]}'
 )
+VERIFY_SEED7_SAMPLES30 = Path(__file__).parent / "data" / "verify_seed7_samples30.txt"
 
 
 @pytest.fixture
@@ -102,6 +106,19 @@ class TestCheckUptoCommand:
         assert code == 0
         assert "relation = demo" in out
 
+    @pytest.mark.parametrize(
+        "name", ['"R\\nconclusion = contained_in_bisimilarity"', '"R\\r"', "7", '["R"]']
+    )
+    def test_relation_name_must_be_one_line_of_text(self, capsys, tmp_path, name):
+        lts = tmp_path / "l.aut"
+        lts.write_text(DEAD_LOOP_AUT)
+        rel = tmp_path / "r.json"
+        rel.write_text('{"name": ' + name + ', "pairs": [["0", "1"]]}')
+        code, out, err = run_cli(capsys, "check-upto", str(lts), str(rel))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: relation name")
+
 
 class TestGalleryCommand:
     def test_emit(self, capsys):
@@ -140,6 +157,20 @@ class TestLatticeCompanionCommand:
         assert code == 2
         assert "not a progression" in err
 
+    @pytest.mark.parametrize(
+        "document", ['{"elements": 5, "leq": []}', '{"elements": ["a"], "leq": 5}']
+    )
+    def test_malformed_lattice_is_input_error(self, capsys, tmp_path, document):
+        lat = tmp_path / "lat.json"
+        lat.write_text(document)
+        prog = tmp_path / "prog.json"
+        prog.write_text('{"pairs": []}')
+        code, out, err = run_cli(capsys, "lattice-companion", str(lat), str(prog))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: lattice document")
+        assert "Traceback" not in err
+
 
 class TestErrorsAndPlumbing:
     def test_parse_error_exit_code(self, capsys, tmp_path):
@@ -174,6 +205,37 @@ class TestErrorsAndPlumbing:
         assert code == 0
         assert "result:" in out
         assert "0 failed" in out
+        # pinned bytes: a refactor of the suite must not change its report
+        assert out == VERIFY_SEED7_SAMPLES30.read_text()
+
+    def test_verify_reports_a_failing_check(self, capsys, monkeypatch):
+        def flawed(n):
+            verdict = verify_gallery(n)
+            return GalleryVerdict(False, verdict.checked, "planted") if n == 3 else verdict
+
+        monkeypatch.setattr("upto.verify.verify_gallery", flawed)
+        code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--samples", "30")
+        assert code == 1
+        cases = sum(verify_gallery(n).checked for n in range(4))
+        # only the failing line and the totals differ: the later checks still run
+        expected = (
+            VERIFY_SEED7_SAMPLES30.read_text()
+            .replace("ok gallery-law cases=1008", f"FAIL gallery-law cases={cases} detail=planted")
+            .replace("27 passed, 0 failed", "26 passed, 1 failed")
+        )
+        assert out == expected
+
+    def test_verify_reports_a_precondition_failure_without_a_case(self, capsys, monkeypatch):
+        def never_holds(lts, r, s):
+            return ProgressDiagnosis(False, (ProgressViolation((0, 0), "left", "a", 0, 0),))
+
+        monkeypatch.setattr("upto.verify.progresses_to", never_holds)
+        code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--samples", "30")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[4] == "FAIL progress-monotone cases=0 detail=sampler produced a bad pair"
+        n_failed = sum(line.startswith("FAIL ") for line in lines)
+        assert lines[-1] == f"result: 27 checks, {27 - n_failed} passed, {n_failed} failed"
 
 
 class TestPipelines:
