@@ -101,6 +101,11 @@ def render_aut(lts: Lts, initial: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_one_line(value) -> bool:
+    """A string that str.splitlines leaves whole, so it prints as one line."""
+    return isinstance(value, str) and value.splitlines() in ([], [value])
+
+
 @dataclass(frozen=True)
 class RelationDocument:
     pairs: tuple[tuple[str, str], ...]
@@ -121,8 +126,7 @@ def parse_relation_document(text: str) -> RelationDocument:
             name = data.get("name")
             data = data.get("pairs")
         # the name is printed on a report line of its own
-        one_line = isinstance(name, str) and name.splitlines() in ([], [name])
-        if name is not None and not one_line:
+        if name is not None and not _is_one_line(name):
             raise RelationParseError(f"relation name {name!r} must be a string on one line")
         if not isinstance(data, list):
             raise RelationParseError("relation document must contain a list of pairs")
@@ -188,7 +192,11 @@ def parse_lattice_document(text: str) -> LatticeDocument:
         raise LatticeParseError(f"invalid JSON lattice document: {e}") from None
     if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
         raise LatticeParseError("lattice document must be an object with an 'elements' list")
-    elements = tuple(str(e) for e in data["elements"])
+    # element names are printed inside report lines
+    for e in data["elements"]:
+        if not _is_one_line(e):
+            raise LatticeParseError(f"lattice element name {e!r} must be a string on one line")
+    elements = tuple(data["elements"])
     have = [k for k in ("cover", "leq") if k in data]
     if len(have) != 1:
         raise LatticeParseError("lattice document needs exactly one of 'cover' or 'leq'")

@@ -4,12 +4,16 @@ The oracles deliberately avoid the library's own computation routes:
 refinement_strata rebuilds the stratum chain by partition refinement over
 transition signatures, matrix_strata iterates the dense matrix operator,
 scan_lrf reads lrf off the materialized strata, and the enumeration helpers
-sweep every relation on a small state space.
+sweep every relation on a small state space or every endofunction of a small
+lattice, one function at a time.
 """
+
+import itertools
 
 import hypothesis.strategies as st
 
 from upto import Lts, Relation, largest_progressing_to
+from upto.lattice import MonotoneClassification
 
 
 def refinement_strata(lts):
@@ -67,6 +71,69 @@ def all_relations(n):
             Relation.from_pairs(n, [pairs[k] for k in range(n * n) if mask >> k & 1])
         )
     return out
+
+
+def _function_tests(lat, prog):
+    """Pure-Python monotone, r-monotone and compatible tests for one function."""
+    m = lat.size
+    le, rel = lat.le, prog.rel
+    s = [lat.join_all(a for a in range(m) if rel[a, b]) for b in range(m)]
+    pairs = [(x, y) for x in range(m) for y in range(m)]
+
+    def monotone(f):
+        return all(le(f[x], f[y]) for x, y in pairs if le(x, y))
+
+    def r_monotone(f):
+        return all(
+            le(f[x], f[y]) and rel[f[x], f[y]] for x, y in pairs if le(x, y) and rel[x, y]
+        )
+
+    def compatible(f):
+        return all(le(f[s[x]], s[f[x]]) for x in range(m))
+
+    return monotone, r_monotone, compatible
+
+
+def enumerated_largest(lat, prog, mode):
+    """brute_force_largest by walking itertools.product one function at a time."""
+    monotone, r_monotone, compatible = _function_tests(lat, prog)
+    if mode == "r_monotone":
+        survives = r_monotone
+    else:
+        def survives(f):
+            return monotone(f) and compatible(f)
+    m = lat.size
+    best = [lat.bottom] * m
+    for f in itertools.product(range(m), repeat=m):
+        if survives(f):
+            best = [lat.join(b, v) for b, v in zip(best, f)]
+    return tuple(best)
+
+
+def enumerated_classification(lat, prog):
+    """classify_monotone_functions by walking itertools.product one function at a time."""
+    monotone, r_monotone, compatible = _function_tests(lat, prog)
+    n_mono = n_rm = n_comp = n_rm_only = n_comp_only = 0
+    ex_rm = ex_comp = None
+    for f in itertools.product(range(lat.size), repeat=lat.size):
+        if not monotone(f):
+            continue
+        n_mono += 1
+        rm = r_monotone(f)
+        comp = compatible(f)
+        n_rm += rm
+        n_comp += comp
+        if rm and not comp:
+            n_rm_only += 1
+            if ex_rm is None:
+                ex_rm = f
+        if comp and not rm:
+            n_comp_only += 1
+            if ex_comp is None:
+                ex_comp = f
+    return MonotoneClassification(
+        n_mono, n_rm, n_comp, n_rm_only, n_comp_only, ex_rm, ex_comp
+    )
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from upto.cli import main
 from upto.gallery import GalleryVerdict, verify_gallery
 from upto.lts import ProgressDiagnosis, ProgressViolation
+from upto.verify import run_verification
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
 LOOP_CYCLE_AUT = 'des (0,3,3)\n(0,"a",0)\n(1,"a",2)\n(2,"a",1)\n'
@@ -16,6 +17,7 @@ DIAMOND_JSON = (
     ' "cover": [["bot","x"],["bot","y"],["x","top"],["y","top"]]}'
 )
 VERIFY_SEED7_SAMPLES30 = Path(__file__).parent / "data" / "verify_seed7_samples30.txt"
+VERIFY_SEED42_SAMPLES1000 = Path(__file__).parent / "data" / "verify_seed42_samples1000.txt"
 
 
 @pytest.fixture
@@ -171,6 +173,31 @@ class TestLatticeCompanionCommand:
         assert err.startswith("error: lattice document")
         assert "Traceback" not in err
 
+    def test_element_name_cannot_forge_output_lines(self, tmp_path):
+        lat = tmp_path / "lat.json"
+        lat.write_text('{"elements": ["a\\nstable at index 9"], "cover": []}')
+        prog = tmp_path / "prog.json"
+        prog.write_text('{"pairs": [["a\\nstable at index 9", "a\\nstable at index 9"]]}')
+        run = subprocess.run(
+            [sys.executable, "-m", "upto", "lattice-companion", str(lat), str(prog)],
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: lattice element name")
+        assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("name", ['"a\\r"', '"a\\u2028b"', "7", "null", '["a"]'])
+    def test_element_name_must_be_one_line_of_text(self, capsys, tmp_path, name):
+        lat = tmp_path / "lat.json"
+        lat.write_text('{"elements": [' + name + '], "leq": []}')
+        prog = tmp_path / "prog.json"
+        prog.write_text('{"pairs": []}')
+        code, out, err = run_cli(capsys, "lattice-companion", str(lat), str(prog))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: lattice element name")
+
 
 class TestErrorsAndPlumbing:
     def test_parse_error_exit_code(self, capsys, tmp_path):
@@ -207,6 +234,12 @@ class TestErrorsAndPlumbing:
         assert "0 failed" in out
         # pinned bytes: a refactor of the suite must not change its report
         assert out == VERIFY_SEED7_SAMPLES30.read_text()
+
+    def test_verify_full_budget_report_is_pinned(self):
+        # at 1000 samples every lattice gets its full budget of progressions
+        report = run_verification(42, 1000)
+        assert report.all_passed
+        assert report.render() == VERIFY_SEED42_SAMPLES1000.read_text()
 
     def test_verify_reports_a_failing_check(self, capsys, monkeypatch):
         def flawed(n):
