@@ -49,8 +49,12 @@ def check_upto(
     """
     if r.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
+    if f.lts is not lts and f.lts != lts:
+        raise ValueError(f"up-to function {f.name!r} was built for a different LTS")
     if seq is None:
         seq = compute_strata(lts)
+    elif seq.lts is not lts and seq.lts != lts:
+        raise ValueError("strata sequence was computed for a different LTS")
     image = f(r)
     diagnosis = progresses_to(lts, r, image)
     conclusion = CONTAINED if (diagnosis.holds and f.trusted) else INCONCLUSIVE

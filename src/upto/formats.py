@@ -31,8 +31,9 @@ class LatticeParseError(ValueError):
     pass
 
 
-_HEADER_RE = re.compile(r"^des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-_EDGE_RE = re.compile(r"^\(\s*(\d+)\s*,\s*\"(.*)\"\s*,\s*(\d+)\s*\)\s*$")
+# re.ASCII: \d would also match other scripts' digits, which int() accepts
+_HEADER_RE = re.compile(r"^des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$", re.ASCII)
+_EDGE_RE = re.compile(r"^\(\s*(\d+)\s*,\s*\"(.*)\"\s*,\s*(\d+)\s*\)\s*$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def resolve_relation(doc: RelationDocument, lts: Lts) -> Relation:
     def resolve(token: str) -> int:
         if token in index:
             return index[token]
-        if token.isdigit() and int(token) < lts.n_states:
+        if token.isascii() and token.isdigit() and int(token) < lts.n_states:
             return int(token)
         raise RelationParseError(f"cannot resolve state {token!r}")
 

@@ -574,7 +574,7 @@ def lts_to_lattice(
 
     rel = np.zeros((m, m), dtype=bool)
     for s_mask in range(m):
-        failing = {v.pair for v in _violations(lts, pairs, element_relation(n, s_mask).matrix)}
+        failing = {v.pair for v in _violations(lts, pairs, element_relation(n, s_mask))}
         ok = sum(1 << k for k, pair in enumerate(pairs) if pair not in failing)
         rel[:, s_mask] = (idx & ~ok) == 0
     progression = LatticeProgression(lattice, rel)

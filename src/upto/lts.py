@@ -8,6 +8,14 @@ the stratum chain (built by partition refinement in ``strata``) is tested
 against.  One lazy generator of unmatched moves serves the per-pair test
 twice: drained, it is the diagnosis the proof checker reports; stopped at
 its first item, it is the early-exit test.
+
+The generator tests each move with one AND of two Python-int bitsets: bit q
+of ``Lts._successor_bits()[p][a]`` is set when p has an a-move to q, and bit
+k of ``Relation.row_bits[p]`` (``column_bits[p]``) is the matrix entry at
+(p, k) (at (k, p)).  Both are built on first use and cached.  The row and
+column bitsets of an n-state relation take about n^2/4 bytes, a quarter of
+its boolean matrix; the successor bitsets take about n/8 bytes per state and
+label, and systems that never check progress never build them.
 """
 
 from __future__ import annotations
@@ -55,7 +63,9 @@ class Lts:
     iteration over the structure is deterministic.
     """
 
-    __slots__ = ("n_states", "state_names", "labels", "transitions", "_succ", "_label_mats")
+    __slots__ = (
+        "n_states", "state_names", "labels", "transitions", "_succ", "_succ_bits", "_label_mats"
+    )
 
     def __init__(self, state_names: Iterable[str], triples: Iterable[tuple[int, str, int]]):
         names = tuple(str(s) for s in state_names)
@@ -84,6 +94,7 @@ class Lts:
             for p in range(n)
         )
         object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_succ_bits", None)
         object.__setattr__(self, "_label_mats", None)
 
     def __setattr__(self, name, value):
@@ -91,6 +102,18 @@ class Lts:
 
     def successors(self, state: int, label_index: int) -> tuple[int, ...]:
         return self._succ[state][label_index]
+
+    def _successor_bits(self) -> tuple[tuple[int, ...], ...]:
+        """Per state and label, the successors as an int bitset, cached."""
+        if self._succ_bits is None:
+            rows = []
+            for ts in self.transitions:
+                row = [0] * len(self.labels)
+                for a, q in ts:
+                    row[a] |= 1 << q
+                rows.append(tuple(row))
+            object.__setattr__(self, "_succ_bits", tuple(rows))
+        return self._succ_bits
 
     def triples(self) -> Iterator[tuple[int, str, int]]:
         """All transitions as (source, label text, target), canonically ordered."""
@@ -143,7 +166,7 @@ class Relation:
     counts.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("n_states", "_mat", "_pairs", "_pairset", "_hash")
+    __slots__ = ("n_states", "_mat", "_pairs", "_pairset", "_rows", "_cols", "_hash")
 
     def __init__(self, n_states: int, matrix: np.ndarray):
         mat = np.array(matrix, dtype=bool, copy=True)
@@ -154,6 +177,8 @@ class Relation:
         object.__setattr__(self, "_mat", mat)
         object.__setattr__(self, "_pairs", None)
         object.__setattr__(self, "_pairset", None)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -192,9 +217,23 @@ class Relation:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The member pairs in sorted order."""
         if self._pairs is None:
-            ps = tuple((int(p), int(q)) for p, q in zip(*np.nonzero(self._mat)))
-            object.__setattr__(self, "_pairs", ps)
+            left, right = np.nonzero(self._mat)
+            object.__setattr__(self, "_pairs", tuple(zip(left.tolist(), right.tolist())))
         return self._pairs
+
+    @property
+    def row_bits(self) -> tuple[int, ...]:
+        """Row p as an int: bit k is set iff (p, k) is in the relation. Cached."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _bitsets(self._mat))
+        return self._rows
+
+    @property
+    def column_bits(self) -> tuple[int, ...]:
+        """Column p as an int: bit k is set iff (k, p) is in the relation. Cached."""
+        if self._cols is None:
+            object.__setattr__(self, "_cols", _bitsets(self._mat.T))
+        return self._cols
 
     @property
     def pair_set(self) -> frozenset:
@@ -281,6 +320,15 @@ class Relation:
         return f"Relation({self.n_states}, {{{inner}}})"
 
 
+def _bitsets(mat: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an int, column k at bit k."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(
+        int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))
+    )
+
+
 @dataclass(frozen=True)
 class ProgressViolation:
     """One unmatched transition found while checking progress.
@@ -307,22 +355,24 @@ class ProgressDiagnosis:
 
 
 def _violations(
-    lts: Lts, pairs: Iterable[tuple[int, int]], smat: np.ndarray
+    lts: Lts, pairs: Iterable[tuple[int, int]], s: Relation
 ) -> Iterator[ProgressViolation]:
-    """Each unmatched move of each pair against the target matrix, lazily.
+    """Each unmatched move of each pair against the target s, lazily.
 
     Order: pairs as given, then labels, then the left state's moves
-    (clause 1) before the right state's (clause 2).
+    (clause 1) before the right state's (clause 2).  A left move p -a-> p1
+    is matched when row p1 of s meets the a-successors of q; a right move
+    q -a-> q1 when column q1 of s meets the a-successors of p.
     """
-    succ = lts._succ
+    succ, bits = lts._succ, lts._successor_bits()
+    rows, cols = s.row_bits, s.column_bits
     for p, q in pairs:
-        for a, label in enumerate(lts.labels):
-            ps, qs = succ[p][a], succ[q][a]
+        for label, ps, qs, p_bits, q_bits in zip(lts.labels, succ[p], succ[q], bits[p], bits[q]):
             for p1 in ps:
-                if not any(smat[p1, q1] for q1 in qs):
+                if not rows[p1] & q_bits:
                     yield ProgressViolation((p, q), "left", label.text, p, p1)
             for q1 in qs:
-                if not any(smat[p1, q1] for p1 in ps):
+                if not cols[q1] & p_bits:
                     yield ProgressViolation((p, q), "right", label.text, q, q1)
 
 
@@ -335,7 +385,7 @@ def progresses_to(lts: Lts, r: Relation, s: Relation) -> ProgressDiagnosis:
     """
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    violations = tuple(_violations(lts, r.pairs, s.matrix))
+    violations = tuple(_violations(lts, r.pairs, s))
     return ProgressDiagnosis(holds=not violations, violations=violations)
 
 
@@ -343,7 +393,7 @@ def progress_holds(lts: Lts, r: Relation, s: Relation) -> bool:
     """Like progresses_to(...).holds, stopping at the first violation."""
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    return next(_violations(lts, r.pairs, s.matrix), None) is None
+    return next(_violations(lts, r.pairs, s), None) is None
 
 
 def largest_progressing_to(lts: Lts, s: Relation) -> Relation:

@@ -3,9 +3,10 @@
 The oracles deliberately avoid the library's own computation routes:
 refinement_strata rebuilds the stratum chain by partition refinement over
 transition signatures, matrix_strata iterates the dense matrix operator,
-scan_lrf reads lrf off the materialized strata, and the enumeration helpers
-sweep every relation on a small state space or every endofunction of a small
-lattice, one function at a time.
+scan_lrf reads lrf off the materialized strata, scalar_violations walks the
+progress clauses one boolean matrix entry at a time, and the enumeration
+helpers sweep every relation on a small state space or every endofunction of
+a small lattice, one function at a time.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import hypothesis.strategies as st
 
 from upto import Lts, Relation, largest_progressing_to
 from upto.lattice import MonotoneClassification
+from upto.lts import ProgressViolation
 
 
 def refinement_strata(lts):
@@ -60,6 +62,21 @@ def scan_lrf(seq, r):
         if not r.is_subset(seq.strata[k]):
             return seq.strata[k - 1]
     return seq.strata[seq.epsilon]
+
+
+def scalar_violations(lts, pairs, smat):
+    """The unmatched moves of each pair, looking up the target matrix smat
+    entry by entry, in the kernel's order: pairs as given, then labels, then
+    left moves before right moves."""
+    for p, q in pairs:
+        for a, label in enumerate(lts.labels):
+            ps, qs = lts.successors(p, a), lts.successors(q, a)
+            for p1 in ps:
+                if not any(smat[p1, q1] for q1 in qs):
+                    yield ProgressViolation((p, q), "left", label.text, p, p1)
+            for q1 in qs:
+                if not any(smat[p1, q1] for p1 in ps):
+                    yield ProgressViolation((p, q), "right", label.text, q, q1)
 
 
 def all_relations(n):

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from upto import (
     CONTAINED,
     INCONCLUSIVE,
+    Lts,
     Relation,
     UpToFunction,
     catalog,
@@ -57,6 +60,30 @@ class TestCheckUpto:
         via_shorthand = check_companion(t2, r)
         via_explicit = check_upto(t2, r, lrf_function(seq), seq=seq)
         assert via_shorthand == via_explicit
+
+
+    def test_strata_of_another_system_rejected(self, two_selfloops):
+        # (0,1) is bisimilar in two_selfloops, not in one_loop
+        one_loop = Lts(["0", "1"], [(0, "a", 0)])
+        r = Relation.from_pairs(2, [(0, 1)])
+        f = lrf_function(compute_strata(one_loop))
+        with pytest.raises(ValueError, match="strata sequence"):
+            check_upto(one_loop, r, f, seq=compute_strata(two_selfloops))
+
+    def test_function_of_another_system_rejected(self, two_selfloops):
+        one_loop = Lts(["0", "1"], [(0, "a", 0)])
+        r = Relation.from_pairs(2, [(0, 1)])
+        with pytest.raises(ValueError, match="different LTS"):
+            check_upto(one_loop, r, lrf_function(compute_strata(two_selfloops)))
+        seq = compute_strata(two_selfloops)
+        with pytest.raises(ValueError, match="different LTS"):
+            check_upto(one_loop, r, lrf_function(seq), seq=seq)
+
+    def test_equal_system_accepted(self, two_selfloops):
+        copy = Lts(["u", "v"], [(0, "a", 0), (1, "a", 1)])
+        seq = compute_strata(two_selfloops)
+        report = check_upto(copy, Relation.from_pairs(2, [(0, 1)]), lrf_function(seq), seq=seq)
+        assert report.conclusion == CONTAINED and report.cross_check
 
 
 class TestCheckerProperties:

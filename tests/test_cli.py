@@ -121,6 +121,17 @@ class TestCheckUptoCommand:
         assert out == ""
         assert err.startswith("error: relation name")
 
+    @pytest.mark.parametrize("token", ["\u0661", "\u00b2", "\uff11"])
+    def test_non_ascii_digits_are_not_state_indices(self, capsys, tmp_path, token):
+        lts = tmp_path / "l.aut"
+        lts.write_text(LOOP_CYCLE_AUT)
+        rel = tmp_path / "r.txt"
+        rel.write_text(f"{token} 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check-upto", str(lts), str(rel))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot resolve state")
+
 
 class TestGalleryCommand:
     def test_emit(self, capsys):
@@ -206,6 +217,22 @@ class TestErrorsAndPlumbing:
         code, _, err = run_cli(capsys, "strata", str(bad))
         assert code == 2
         assert "malformed header" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("des (0,1,\u0662)\n(0,\"a\",1)\n", "malformed header"),
+            ("des (\u0660,1,2)\n(0,\"a\",1)\n", "malformed header"),
+            ("des (0,1,2)\n(\u0660,\"a\",1)\n", "malformed transition"),
+        ],
+    )
+    def test_non_ascii_digits_in_aut_rejected(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.aut"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "strata", str(bad))
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "strata", "/nonexistent/x.aut")

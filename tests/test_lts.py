@@ -1,11 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, assume
 import hypothesis.strategies as st
 
-from upto import Lts, Relation, largest_progressing_to, progress_holds, progresses_to
+from upto import (
+    Lts,
+    Relation,
+    compute_strata,
+    largest_progressing_to,
+    progress_holds,
+    progresses_to,
+)
+from upto.lts import _violations
 
-from helpers import all_relations, lts_with_relations, relation_over, small_lts
+from helpers import all_relations, lts_with_relations, relation_over, scalar_violations, small_lts
 
 
 class TestLtsConstruction:
@@ -197,3 +207,92 @@ class TestProgressProperties:
         assert progresses_to(lts, r, s).holds == r.is_subset(
             largest_progressing_to(lts, s)
         )
+
+
+# sizes around the packbits byte padding (7, 8, 9) and the 64-bit word
+# boundaries of the Python-int bitsets (63, 64, 65, 130)
+KERNEL_SIZES = [1, 7, 8, 9, 63, 64, 65, 130]
+
+
+def _kernel_system(seed, n):
+    """A seeded system with 1-3 labels, each used by the last state; when
+    n > 1, state 0 has no moves under label "a"."""
+    rng = random.Random(seed)
+    labels = "abc"[: rng.randint(1, 3)]
+    triples = [(n - 1, a, rng.randrange(n)) for a in labels]
+    triples += [
+        (p, a, rng.randrange(n))
+        for p in range(n)
+        for a in labels
+        if (p, a) != (0, "a")
+        for _ in range(rng.randint(0, 3))
+    ]
+    return Lts([str(i) for i in range(n)], triples)
+
+
+def _kernel_targets(seed, n):
+    gen = np.random.default_rng(seed)
+    return [
+        Relation.empty(n),
+        Relation.identity(n),
+        Relation.full(n),
+        Relation(n, gen.random((n, n)) < 0.5),
+        Relation(n, gen.random((n, n)) < 0.02),
+    ]
+
+
+def _unpacked(bitsets, n):
+    return [[bool(b >> k & 1) for k in range(n)] for b in bitsets]
+
+
+class TestBitsetKernel:
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_violations_match_scalar_walk(self, n):
+        lts = _kernel_system(n, n)
+        assert n == 1 or lts.successors(0, 0) == ()
+        gen = np.random.default_rng(100 + n)
+        bisim = compute_strata(lts).bisimilarity()
+        candidates = [bisim, Relation(n, gen.random((n, n)) < min(0.5, 200 / (n * n)))]
+        for r in candidates:
+            for s in _kernel_targets(200 + n, n) + [bisim]:
+                expected = tuple(scalar_violations(lts, r.pairs, s.matrix))
+                assert progresses_to(lts, r, s).violations == expected
+                assert progress_holds(lts, r, s) == (not expected)
+
+    def test_walks_pairs_in_the_given_order(self):
+        lts = _kernel_system(3, 9)
+        pairs = [(8, 0), (0, 8), (3, 3), (0, 8)]
+        for s in (Relation.empty(9), Relation.identity(9)):
+            assert list(_violations(lts, pairs, s)) == list(scalar_violations(lts, pairs, s.matrix))
+        assert next(_violations(lts, pairs, Relation.empty(9))).pair == (8, 0)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_row_and_column_bits_match_the_matrix(self, n):
+        for r in _kernel_targets(300 + n, n):
+            assert _unpacked(r.row_bits, n) == r.matrix.tolist()
+            assert _unpacked(r.column_bits, n) == r.matrix.T.tolist()
+            assert all(b >> n == 0 for b in r.row_bits + r.column_bits)
+
+    @given(st.integers(1, 70).flatmap(relation_over))
+    def test_bit_k_of_row_and_column_p(self, r):
+        n = r.n_states
+        for p in range(n):
+            for k in range(n):
+                assert bool(r.row_bits[p] >> k & 1) == bool(r.matrix[p, k])
+                assert bool(r.column_bits[p] >> k & 1) == bool(r.matrix[k, p])
+
+    def test_successor_bits_built_on_first_progress_check(self):
+        lts = _kernel_system(5, 65)
+        compute_strata(lts)
+        assert lts._succ_bits is None
+        progress_holds(lts, Relation.identity(65), Relation.identity(65))
+        bits = lts._succ_bits
+        assert bits is not None
+        for p in range(65):
+            for a in range(len(lts.labels)):
+                assert [q for q in range(65) if bits[p][a] >> q & 1] == sorted(lts.successors(p, a))
+
+    def test_pairs_are_python_ints(self):
+        pairs = Relation.from_pairs(70, [(69, 0), (3, 64)]).pairs
+        assert pairs == ((3, 64), (69, 0))
+        assert all(type(x) is int for pair in pairs for x in pair)
