@@ -7,6 +7,7 @@ verification), 2 parse or validation errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +29,13 @@ from .strata import compute_strata
 from .verify import run_verification
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
+
+
+def _integer(text: str) -> int:
+    # int() alone also reads other scripts' digits, such as "\u0662"
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}: use ASCII digits")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_check_upto)
 
     p = sub.add_parser("gallery", help="emit the n-th ladder system, or verify its strata law")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(run=_cmd_gallery)
 
@@ -171,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_lattice_companion)
 
     p = sub.add_parser("verify", help="run the seeded property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--samples", type=_integer, default=200)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("export-dot", help="DOT rendering of the transition graph")
@@ -186,10 +194,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except MemoryError as e:

@@ -144,21 +144,11 @@ def is_respectful_on_samples(
             continue
         checked += 1
         fr, fs = f(r), f(s)
-        if not fr.is_subset(fs):
-            return RespectfulnessVerdict(
-                False,
-                RespectfulnessCounterexample(r, s, "inclusion", None),
-                checked,
-                skipped,
-            )
-        diag = progresses_to(lts, fr, fs)
-        if not diag.holds:
-            return RespectfulnessVerdict(
-                False,
-                RespectfulnessCounterexample(r, s, "progression", diag),
-                checked,
-                skipped,
-            )
+        diag = progresses_to(lts, fr, fs) if fr.is_subset(fs) else None
+        if diag is None or not diag.holds:
+            clause = "inclusion" if diag is None else "progression"
+            counterexample = RespectfulnessCounterexample(r, s, clause, diag)
+            return RespectfulnessVerdict(False, counterexample, checked, skipped)
     return RespectfulnessVerdict(True, None, checked, skipped)
 
 
@@ -170,13 +160,8 @@ def check_lrf_largest(
     Any violation is a bug: every respectful function is dominated by the
     largest one.
     """
-    checked = 0
-    for r in rs:
-        checked += 1
-        image = f(r)
-        bound = lrf(seq, r)
+    for checked, r in enumerate(rs, start=1):
+        image, bound = f(r), lrf(seq, r)
         if not image.is_subset(bound):
-            return DominanceVerdict(
-                False, DominanceCounterexample(r, f.name, image, bound), checked
-            )
-    return DominanceVerdict(True, None, checked)
+            return DominanceVerdict(False, DominanceCounterexample(r, f.name, image, bound), checked)
+    return DominanceVerdict(True, None, len(rs))

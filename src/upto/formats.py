@@ -172,11 +172,8 @@ def parse_relation(text: str, lts: Lts) -> Relation:
 
 
 def render_relation(r: Relation, names: Optional[tuple[str, ...]] = None) -> str:
-    if names is None:
-        inner = ", ".join(f"({p},{q})" for p, q in r.pairs)
-    else:
-        inner = ", ".join(f"({names[p]},{names[q]})" for p, q in r.pairs)
-    return "{" + inner + "}"
+    names = range(r.n_states) if names is None else names
+    return "{" + ", ".join(f"({names[p]},{names[q]})" for p, q in r.pairs) + "}"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lts import Lts, Relation, _violations, bool_mm
+from .lts import Lts, Relation, _pack_rows, _violations, bool_mm
 
 
 class LatticeValidationError(ValueError):
@@ -30,11 +30,6 @@ class LatticeValidationError(ValueError):
         preview = "; ".join(self.violations[:5])
         extra = "" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)"
         super().__init__(f"not a complete lattice: {preview}{extra}")
-
-
-def _row_masks(mat: np.ndarray) -> list[int]:
-    packed = np.packbits(mat, axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
 
 
 class FiniteLattice:
@@ -111,7 +106,7 @@ def _bound_table(up_rows: np.ndarray, names: Sequence[str], kind: str):
     row bitmasks resolves each pair in one lookup.
     """
     m = up_rows.shape[0]
-    masks = _row_masks(up_rows)
+    masks = _pack_rows(up_rows)
     owner = {mask: i for i, mask in enumerate(masks)}
     table = np.zeros((m, m), dtype=np.int64)
     violations = []
@@ -520,32 +515,22 @@ def m3_lattice() -> FiniteLattice:
 BRIDGE_STATE_CAP = 3
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(n) for q in range(n)]
-
-
 def relation_element_name(n: int, mask: int) -> str:
-    pairs = _pair_order(n)
-    inner = ",".join(f"({p},{q})" for k, (p, q) in enumerate(pairs) if mask >> k & 1)
-    return "{" + inner + "}"
+    return "{" + ",".join(f"({p},{q})" for p, q in element_relation(n, mask).pairs) + "}"
 
 
 def relation_element_index(r: Relation) -> int:
-    """Bitmask position of a relation in the powerset lattice (row-major pairs)."""
+    """Bitmask position of a relation in the powerset lattice (row-major
+    pairs): its row bitsets, concatenated."""
     n = r.n_states
-    mask = 0
-    for k, (p, q) in enumerate(_pair_order(n)):
-        if (p, q) in r.pair_set:
-            mask |= 1 << k
-    return mask
+    return sum(row << (p * n) for p, row in enumerate(r.row_bits))
 
 
 def element_relation(n_states: int, index: int) -> Relation:
     """Inverse of relation_element_index."""
-    pairs = _pair_order(n_states)
-    return Relation.from_pairs(
-        n_states, [pairs[k] for k in range(len(pairs)) if index >> k & 1]
-    )
+    full = (1 << n_states) - 1
+    rows = tuple(index >> (p * n_states) & full for p in range(n_states))
+    return Relation._from_rows(n_states, rows)
 
 
 def lts_to_lattice(
@@ -565,7 +550,7 @@ def lts_to_lattice(
     if n > max_states:
         raise ValueError(f"LTS has {n} states; bound is {max_states}")
     m = 1 << (n * n)
-    pairs = _pair_order(n)
+    pairs = [(p, q) for p in range(n) for q in range(n)]
 
     names = [relation_element_name(n, mask) for mask in range(m)]
     idx = np.arange(m, dtype=np.int64)

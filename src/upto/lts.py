@@ -9,18 +9,20 @@ against.  One lazy generator of unmatched moves serves the per-pair test
 twice: drained, it is the diagnosis the proof checker reports; stopped at
 its first item, it is the early-exit test.
 
-The generator tests each move with one AND of two Python-int bitsets: bit q
-of ``Lts._successor_bits()[p][a]`` is set when p has an a-move to q, and bit
-k of ``Relation.row_bits[p]`` (``column_bits[p]``) is the matrix entry at
-(p, k) (at (k, p)).  Both are built on first use and cached.  The row and
-column bitsets of an n-state relation take about n^2/4 bytes, a quarter of
-its boolean matrix; the successor bitsets take about n/8 bytes per state and
-label, and systems that never check progress never build them.
+A relation is one int per state: bit q of ``Relation.row_bits[p]`` is set
+iff (p, q) is in it; its n x n boolean matrix is only a view on request.
+The generator tests each move with one AND of a row (or column) of the
+target and a successor bitset (bit q of ``Lts._successor_bits()[p][a]`` is
+set when p has an a-move to q).  Columns are built when a right move first
+needs them; an equivalence's columns are its rows.  An n-state relation's
+rows take at most n^2/8 bytes, and the successor bitsets at most n/8 bytes
+per state and label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, index, or_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -106,13 +108,8 @@ class Lts:
     def _successor_bits(self) -> tuple[tuple[int, ...], ...]:
         """Per state and label, the successors as an int bitset, cached."""
         if self._succ_bits is None:
-            rows = []
-            for ts in self.transitions:
-                row = [0] * len(self.labels)
-                for a, q in ts:
-                    row[a] |= 1 << q
-                rows.append(tuple(row))
-            object.__setattr__(self, "_succ_bits", tuple(rows))
+            bits = tuple(tuple(sum(1 << q for q in qs) for qs in row) for row in self._succ)
+            object.__setattr__(self, "_succ_bits", bits)
         return self._succ_bits
 
     def triples(self) -> Iterator[tuple[int, str, int]]:
@@ -160,26 +157,28 @@ class Lts:
 
 
 class Relation:
-    """A binary relation over the states of one LTS, as a dense boolean matrix.
+    """A binary relation over the states of one LTS, stored as row bitsets.
 
-    All operations are exact and only combine relations with matching state
-    counts.  Instances are immutable and hashable.
+    Bit q of ``row_bits[p]`` is set iff (p, q) is in the relation; every
+    operation works on these ints, and the matrix, pairs and column bitsets
+    are derived on request.  Operations are exact and only combine relations
+    with matching state counts.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("n_states", "_mat", "_pairs", "_pairset", "_rows", "_cols", "_hash")
+    __slots__ = ("n_states", "row_bits", "_cols", "_pairs")
 
     def __init__(self, n_states: int, matrix: np.ndarray):
-        mat = np.array(matrix, dtype=bool, copy=True)
+        mat = np.asarray(matrix, dtype=bool)
         if mat.shape != (n_states, n_states):
             raise ValueError(f"matrix shape {mat.shape} does not match {n_states} states")
-        mat.flags.writeable = False
+        self._set(n_states, _pack_rows(mat), None)
+
+    def _set(self, n_states: int, rows: tuple[int, ...], cols) -> "Relation":
         object.__setattr__(self, "n_states", n_states)
-        object.__setattr__(self, "_mat", mat)
+        object.__setattr__(self, "row_bits", rows)
+        object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_pairs", None)
-        object.__setattr__(self, "_pairset", None)
-        object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_cols", None)
-        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Relation is immutable")
@@ -187,69 +186,85 @@ class Relation:
     # construction
 
     @classmethod
+    def _from_rows(cls, n_states: int, rows: tuple[int, ...], cols=None) -> "Relation":
+        """Unchecked: these row bitsets, and the column bitsets when known."""
+        return cls.__new__(cls)._set(n_states, rows, cols)
+
+    @classmethod
     def from_pairs(cls, n_states: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
-        mat = np.zeros((n_states, n_states), dtype=bool)
+        rows = [0] * n_states
         for p, q in pairs:
+            p, q = index(p), index(q)
             if not (0 <= p < n_states and 0 <= q < n_states):
                 raise ValueError(f"pair ({p}, {q}) out of range for {n_states} states")
-            mat[p, q] = True
-        return cls(n_states, mat)
+            rows[p] |= 1 << q
+        return cls._from_rows(n_states, tuple(rows))
 
     @classmethod
     def empty(cls, n_states: int) -> "Relation":
-        return cls(n_states, np.zeros((n_states, n_states), dtype=bool))
+        rows = (0,) * n_states
+        return cls._from_rows(n_states, rows, rows)
 
     @classmethod
     def full(cls, n_states: int) -> "Relation":
-        return cls(n_states, np.ones((n_states, n_states), dtype=bool))
+        rows = ((1 << n_states) - 1,) * n_states
+        return cls._from_rows(n_states, rows, rows)
 
     @classmethod
     def identity(cls, n_states: int) -> "Relation":
-        return cls(n_states, np.eye(n_states, dtype=bool))
+        rows = tuple(1 << p for p in range(n_states))
+        return cls._from_rows(n_states, rows, rows)
 
     # views
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._mat
+        """The relation as a read-only n x n boolean array, built on each request."""
+        n = self.n_states
+        width = (n + 7) // 8
+        data = b"".join(row.to_bytes(width, "little") for row in self.row_bits)
+        packed = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+        mat = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+        mat.flags.writeable = False
+        return mat
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The member pairs in sorted order."""
+        """The member pairs in sorted order, cached."""
         if self._pairs is None:
-            left, right = np.nonzero(self._mat)
-            object.__setattr__(self, "_pairs", tuple(zip(left.tolist(), right.tolist())))
+            pairs = []
+            for p, row in enumerate(self.row_bits):
+                while row:
+                    low = row & -row
+                    pairs.append((p, low.bit_length() - 1))
+                    row ^= low
+            object.__setattr__(self, "_pairs", tuple(pairs))
         return self._pairs
 
     @property
-    def row_bits(self) -> tuple[int, ...]:
-        """Row p as an int: bit k is set iff (p, k) is in the relation. Cached."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", _bitsets(self._mat))
-        return self._rows
-
-    @property
     def column_bits(self) -> tuple[int, ...]:
-        """Column p as an int: bit k is set iff (k, p) is in the relation. Cached."""
+        """Column q as an int: bit p is set iff (p, q) is in the relation. Cached."""
         if self._cols is None:
-            object.__setattr__(self, "_cols", _bitsets(self._mat.T))
+            cols = [0] * self.n_states
+            for p, row in enumerate(self.row_bits):
+                bit = 1 << p
+                while row:
+                    low = row & -row
+                    cols[low.bit_length() - 1] |= bit
+                    row ^= low
+            object.__setattr__(self, "_cols", tuple(cols))
         return self._cols
 
-    @property
-    def pair_set(self) -> frozenset:
-        if self._pairset is None:
-            object.__setattr__(self, "_pairset", frozenset(self.pairs))
-        return self._pairset
-
     def __contains__(self, pair) -> bool:
-        p, q = pair
-        return bool(self._mat[p, q])
+        p, q = map(index, pair)
+        n = self.n_states
+        return 0 <= p < n and 0 <= q < n and bool(self.row_bits[p] >> q & 1)
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        return int(self._mat.sum())
+        return sum(row.bit_count() for row in self.row_bits)
 
     # algebra
 
@@ -261,27 +276,29 @@ class Relation:
 
     def union(self, other: "Relation") -> "Relation":
         self._check(other)
-        return Relation(self.n_states, self._mat | other._mat)
+        return Relation._from_rows(self.n_states, tuple(map(or_, self.row_bits, other.row_bits)))
 
     def intersect(self, other: "Relation") -> "Relation":
         self._check(other)
-        return Relation(self.n_states, self._mat & other._mat)
+        return Relation._from_rows(self.n_states, tuple(map(and_, self.row_bits, other.row_bits)))
 
     def difference(self, other: "Relation") -> "Relation":
         self._check(other)
-        return Relation(self.n_states, self._mat & ~other._mat)
+        rows = tuple(a & ~b for a, b in zip(self.row_bits, other.row_bits))
+        return Relation._from_rows(self.n_states, rows)
 
     def compose(self, other: "Relation") -> "Relation":
         """Relational composition: (p, q) related iff p -self-> x -other-> q."""
         self._check(other)
-        return Relation(self.n_states, bool_mm(self._mat, other._mat))
+        rows = other.row_bits
+        return Relation._from_rows(self.n_states, tuple(_image(rows, row) for row in self.row_bits))
 
     def converse(self) -> "Relation":
-        return Relation(self.n_states, self._mat.T)
+        return Relation._from_rows(self.n_states, self.column_bits, self.row_bits)
 
     def is_subset(self, other: "Relation") -> bool:
         self._check(other)
-        return not bool((self._mat & ~other._mat).any())
+        return not any(a & ~b for a, b in zip(self.row_bits, other.row_bits))
 
     __or__ = union
     __and__ = intersect
@@ -294,13 +311,14 @@ class Relation:
     # predicates
 
     def is_reflexive(self) -> bool:
-        return bool(self._mat.diagonal().all())
+        return all(row >> p & 1 for p, row in enumerate(self.row_bits))
 
     def is_symmetric(self) -> bool:
-        return bool((self._mat == self._mat.T).all())
+        return self.row_bits == self.column_bits
 
     def is_transitive(self) -> bool:
-        return not bool((bool_mm(self._mat, self._mat) & ~self._mat).any())
+        rows = self.row_bits
+        return not any(_image(rows, row) & ~row for row in rows)
 
     def is_equivalence(self) -> bool:
         return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
@@ -308,25 +326,31 @@ class Relation:
     def __eq__(self, other):
         if not isinstance(other, Relation):
             return NotImplemented
-        return self.n_states == other.n_states and np.array_equal(self._mat, other._mat)
+        return self.n_states == other.n_states and self.row_bits == other.row_bits
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n_states, self._mat.tobytes())))
-        return self._hash
+        return hash((self.n_states, self.row_bits))
 
     def __repr__(self):
         inner = ", ".join(f"({p},{q})" for p, q in self.pairs)
         return f"Relation({self.n_states}, {{{inner}}})"
 
 
-def _bitsets(mat: np.ndarray) -> tuple[int, ...]:
+def _pack_rows(mat: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as an int, column k at bit k."""
     packed = np.packbits(mat, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return tuple(
-        int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))
-    )
+    data, width = packed.tobytes(), max(packed.shape[1], 1)
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+
+
+def _image(rows: tuple[int, ...], members: int) -> int:
+    """The union of rows[q] over the set bits q of members."""
+    out = 0
+    while members:
+        low = members & -members
+        out |= rows[low.bit_length() - 1]
+        members ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -362,15 +386,18 @@ def _violations(
     Order: pairs as given, then labels, then the left state's moves
     (clause 1) before the right state's (clause 2).  A left move p -a-> p1
     is matched when row p1 of s meets the a-successors of q; a right move
-    q -a-> q1 when column q1 of s meets the a-successors of p.
+    q -a-> q1 when column q1 of s meets the a-successors of p; the columns
+    are fetched at the first right move.
     """
     succ, bits = lts._succ, lts._successor_bits()
-    rows, cols = s.row_bits, s.column_bits
+    rows, cols = s.row_bits, None
     for p, q in pairs:
         for label, ps, qs, p_bits, q_bits in zip(lts.labels, succ[p], succ[q], bits[p], bits[q]):
             for p1 in ps:
                 if not rows[p1] & q_bits:
                     yield ProgressViolation((p, q), "left", label.text, p, p1)
+            if qs and cols is None:
+                cols = s.column_bits
             for q1 in qs:
                 if not cols[q1] & p_bits:
                     yield ProgressViolation((p, q), "right", label.text, q, q1)

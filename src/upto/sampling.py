@@ -46,12 +46,9 @@ def random_lts_pool(
 def random_relation(rng: random.Random, n_states: int, density: float | None = None) -> Relation:
     if density is None:
         density = rng.uniform(0.1, 0.7)
-    mat = np.zeros((n_states, n_states), dtype=bool)
-    for p in range(n_states):
-        for q in range(n_states):
-            if rng.random() < density:
-                mat[p, q] = True
-    return Relation(n_states, mat)
+    states = range(n_states)
+    rows = tuple(sum(1 << q for q in states if rng.random() < density) for _ in states)
+    return Relation._from_rows(n_states, rows)
 
 
 def random_subrelation(rng: random.Random, r: Relation, keep: float = 0.5) -> Relation:
@@ -71,7 +68,7 @@ def forced_progression_target(lts: Lts, r: Relation) -> tuple[Relation, Relation
     n = lts.n_states
     n_labels = len(lts.labels)
     kept = []
-    target = np.zeros((n, n), dtype=bool)
+    target = [0] * n
     for p, q in r.pairs:
         viable = all(
             bool(lts.successors(p, a)) == bool(lts.successors(q, a))
@@ -83,9 +80,9 @@ def forced_progression_target(lts: Lts, r: Relation) -> tuple[Relation, Relation
         for a in range(n_labels):
             for p1 in lts.successors(p, a):
                 for q1 in lts.successors(q, a):
-                    target[p1, q1] = True
+                    target[p1] |= 1 << q1
     kept_rel = Relation.from_pairs(n, kept)
-    return kept_rel, Relation(n, target) | kept_rel
+    return kept_rel, Relation._from_rows(n, tuple(target)) | kept_rel
 
 
 def progression_sample(

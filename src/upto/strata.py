@@ -17,8 +17,8 @@ block and that change, which determines its new signature exactly because
 block-mates shared the old one.  A state moves only into a piece at most
 half the size of its block, so it moves O(log n) times and the whole chain
 costs O(m log n) dictionary operations for m transitions, plus O(n) per
-round to record the row; memory is O(m + epsilon * n).  Relations are only
-materialized (as dense n x n matrices) when a caller asks for a stratum.
+round to record the row; memory is O(m + epsilon * n).  A stratum becomes a
+Relation when asked for: one row bitset per block, also serving as columns.
 """
 
 from __future__ import annotations
@@ -39,13 +39,20 @@ def _canonical(row: np.ndarray) -> np.ndarray:
     return rank[inverse.reshape(-1)]
 
 
-def _blocks_of(r: Relation, k: int) -> np.ndarray:
+def _block_rows(ids: Sequence[int]) -> tuple[int, ...]:
+    """Row bitsets of the partition with these block ids (each below n)."""
+    masks = [0] * len(ids)
+    for p, b in enumerate(ids):
+        masks[b] |= 1 << p
+    return tuple(masks[b] for b in ids)
+
+
+def _blocks_of(r: Relation, k: int) -> list[int]:
     """Block ids of an equivalence relation: each state's least related state."""
-    mat = r.matrix
-    row = mat.argmax(axis=1) if r.n_states else np.zeros(0, dtype=np.int64)
-    if not np.array_equal(mat, row[:, None] == row[None, :]):
+    ids = [(row & -row).bit_length() - 1 for row in r.row_bits]
+    if _block_rows(ids) != r.row_bits:
         raise ValueError(f"stratum {k} is not an equivalence relation")
-    return row
+    return ids
 
 
 class StrataSequence:
@@ -122,8 +129,8 @@ class StrataSequence:
             raise ValueError("stratum index must be non-negative")
         k = min(k, self.epsilon)
         if self._relations[k] is None:
-            row = self.blocks[k]
-            self._relations[k] = Relation(self.lts.n_states, row[:, None] == row[None, :])
+            rows = _block_rows(self.blocks[k].tolist())
+            self._relations[k] = Relation._from_rows(self.lts.n_states, rows, rows)
         return self._relations[k]
 
     def bisimilarity(self) -> Relation:
@@ -140,12 +147,12 @@ class StrataSequence:
         """
         if r.n_states != self.lts.n_states:
             raise ValueError("relation dimensions do not match the strata sequence")
-        ps, qs = np.nonzero(r.matrix)
+        pairs = r.pairs
         lo, hi = 0, self.epsilon  # r lies inside stratum lo
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            row = self.blocks[mid]
-            if (row[ps] != row[qs]).any():
+            row = self.blocks[mid].tolist()
+            if any(row[p] != row[q] for p, q in pairs):
                 hi = mid - 1
             else:
                 lo = mid

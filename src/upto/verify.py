@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .companion import catalog, check_lrf_largest, lrf, lrf_function
 from .formats import parse_aut, render_aut
@@ -175,14 +177,11 @@ def _progress_union_closure(suite: _Suite):
 def _largest_characterization(suite: _Suite):
     for i in range(_clamp(suite.samples // 150, 1, 8)):
         lts, _seq = suite.small[i % len(suite.small)]
-        everything = _all_relations(lts.n_states)
+        everything, empty = _all_relations(lts.n_states), Relation.empty(lts.n_states)
         for _ in range(2):
             s = random_relation(suite.rng, lts.n_states)
             computed = largest_progressing_to(lts, s)
-            union = Relation.empty(lts.n_states)
-            for x in everything:
-                if progress_holds(lts, x, s):
-                    union = union | x
+            union = reduce(or_, (x for x in everything if progress_holds(lts, x, s)), empty)
             ok = union == computed
             yield 1, None if ok else f"enumerated union differs from computed largest on {lts!r}"
 
@@ -245,11 +244,8 @@ def _strata_equivalence(suite: _Suite):
 def _bisimilarity_enumerated(suite: _Suite):
     for i in range(_clamp(suite.samples // 100, 2, 10)):
         lts, seq = suite.small[i % len(suite.small)]
-        union = Relation.empty(lts.n_states)
-        for x in _all_relations(lts.n_states):
-            if progress_holds(lts, x, x):
-                union = union | x
-        ok = union == seq.bisimilarity()
+        selfprog = (x for x in _all_relations(lts.n_states) if progress_holds(lts, x, x))
+        ok = reduce(or_, selfprog, Relation.empty(lts.n_states)) == seq.bisimilarity()
         yield 1, None if ok else f"union of self-progressing relations differs on {lts!r}"
 
 

@@ -234,6 +234,22 @@ class TestErrorsAndPlumbing:
         assert out == ""
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["gallery", "\u0662"], ["verify", "--seed", "\u0661"], ["verify", "--samples", "\u0663"]]
+    )
+    def test_integer_arguments_take_ascii_digits_only(self, capsys, argv):
+        # int() would read these Arabic-Indic digits as 2, 1 and 3
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert out == ""
+        assert "use ASCII digits" in err and "Traceback" not in err
+
+    def test_negative_gallery_index_keeps_its_message(self, capsys):
+        code, out, err = run_cli(capsys, "gallery", "-1")
+        assert (code, out, err) == (2, "", "error: n must be non-negative\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "strata", "/nonexistent/x.aut")
         assert code == 2

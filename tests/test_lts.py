@@ -15,7 +15,7 @@ from upto import (
 )
 from upto.lts import _violations
 
-from helpers import all_relations, lts_with_relations, relation_over, scalar_violations, small_lts
+from helpers import all_relations, lts_with_relations, scalar_violations, small_lts
 
 
 class TestLtsConstruction:
@@ -231,14 +231,29 @@ def _kernel_system(seed, n):
 
 
 def _kernel_targets(seed, n):
+    """Targets paired with the raw numpy matrix each was built from or stands for."""
     gen = np.random.default_rng(seed)
+    dense, sparse = gen.random((n, n)) < 0.5, gen.random((n, n)) < 0.02
     return [
-        Relation.empty(n),
-        Relation.identity(n),
-        Relation.full(n),
-        Relation(n, gen.random((n, n)) < 0.5),
-        Relation(n, gen.random((n, n)) < 0.02),
+        (Relation.empty(n), np.zeros((n, n), dtype=bool)),
+        (Relation.identity(n), np.eye(n, dtype=bool)),
+        (Relation.full(n), np.ones((n, n), dtype=bool)),
+        (Relation(n, dense), dense),
+        (Relation(n, sparse), sparse),
     ]
+
+
+def _bisimilarity_with_matrix(lts):
+    seq = compute_strata(lts)
+    ids = seq.blocks[seq.epsilon]
+    return seq.bisimilarity(), ids[:, None] == ids[None, :]
+
+
+def _raw_matrix(n):
+    """A boolean n x n numpy array from a drawn seed and density."""
+    return st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0])).map(
+        lambda sd: np.random.default_rng(sd[0]).random((n, n)) < sd[1]
+    )
 
 
 def _unpacked(bitsets, n):
@@ -251,35 +266,73 @@ class TestBitsetKernel:
         lts = _kernel_system(n, n)
         assert n == 1 or lts.successors(0, 0) == ()
         gen = np.random.default_rng(100 + n)
-        bisim = compute_strata(lts).bisimilarity()
+        bisim, bisim_matrix = _bisimilarity_with_matrix(lts)
         candidates = [bisim, Relation(n, gen.random((n, n)) < min(0.5, 200 / (n * n)))]
         for r in candidates:
-            for s in _kernel_targets(200 + n, n) + [bisim]:
-                expected = tuple(scalar_violations(lts, r.pairs, s.matrix))
+            for s, smat in _kernel_targets(200 + n, n) + [(bisim, bisim_matrix)]:
+                expected = tuple(scalar_violations(lts, r.pairs, smat))
                 assert progresses_to(lts, r, s).violations == expected
                 assert progress_holds(lts, r, s) == (not expected)
 
     def test_walks_pairs_in_the_given_order(self):
         lts = _kernel_system(3, 9)
         pairs = [(8, 0), (0, 8), (3, 3), (0, 8)]
-        for s in (Relation.empty(9), Relation.identity(9)):
-            assert list(_violations(lts, pairs, s)) == list(scalar_violations(lts, pairs, s.matrix))
+        for s, smat in _kernel_targets(0, 9)[:2]:
+            assert list(_violations(lts, pairs, s)) == list(scalar_violations(lts, pairs, smat))
         assert next(_violations(lts, pairs, Relation.empty(9))).pair == (8, 0)
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_row_and_column_bits_match_the_matrix(self, n):
-        for r in _kernel_targets(300 + n, n):
-            assert _unpacked(r.row_bits, n) == r.matrix.tolist()
-            assert _unpacked(r.column_bits, n) == r.matrix.T.tolist()
+        for r, mat in _kernel_targets(300 + n, n):
+            assert _unpacked(r.row_bits, n) == mat.tolist()
+            assert _unpacked(r.column_bits, n) == mat.T.tolist()
             assert all(b >> n == 0 for b in r.row_bits + r.column_bits)
 
-    @given(st.integers(1, 70).flatmap(relation_over))
-    def test_bit_k_of_row_and_column_p(self, r):
-        n = r.n_states
+    @given(st.integers(1, 70).flatmap(_raw_matrix))
+    def test_bit_k_of_row_and_column_p(self, mat):
+        n = len(mat)
+        r = Relation(n, mat)
         for p in range(n):
             for k in range(n):
-                assert bool(r.row_bits[p] >> k & 1) == bool(r.matrix[p, k])
-                assert bool(r.column_bits[p] >> k & 1) == bool(r.matrix[k, p])
+                assert bool(r.row_bits[p] >> k & 1) == bool(mat[p, k])
+                assert bool(r.column_bits[p] >> k & 1) == bool(mat[k, p])
+
+    @given(st.integers(1, 70).flatmap(lambda n: st.tuples(*[_raw_matrix(n)] * 3)))
+    def test_operations_match_numpy_on_the_same_arrays(self, mats):
+        a, b, blocks = mats
+        n = len(a)
+        # an equivalence, so the predicates also meet relations where they hold
+        ids = blocks.argmax(axis=1)
+        e = ids[:, None] == ids[None, :]
+        ra, rb, re_ = Relation(n, a), Relation(n, b), Relation(n, e)
+        for r, m in ((ra, a), (rb, b), (re_, e)):
+            assert np.array_equal(r.matrix, m)
+            assert len(r) == int(m.sum())
+            assert r.pairs == tuple(map(tuple, np.argwhere(m).tolist()))
+            assert all(((p, q) in r) == bool(m[p, q]) for p in range(n) for q in range(n))
+            assert r.is_reflexive() == bool(m.diagonal().all())
+            assert r.is_symmetric() == bool((m == m.T).all())
+            assert r.is_transitive() == (not ((m.astype(int) @ m > 0) & ~m).any())
+            assert np.array_equal(r.converse().matrix, m.T)
+        assert np.array_equal((ra | rb).matrix, a | b)
+        assert np.array_equal((ra & rb).matrix, a & b)
+        assert np.array_equal((ra - rb).matrix, a & ~b)
+        assert np.array_equal(ra.compose(rb).matrix, (a.astype(int) @ b) > 0)
+        assert np.array_equal(re_.compose(ra).matrix, (e.astype(int) @ a) > 0)
+        assert ra.is_subset(rb) == (not (a & ~b).any())
+        assert Relation(n, a & b).is_subset(ra) and Relation(n, a & e) <= re_
+        assert (ra == rb) == np.array_equal(a, b)
+        assert ra == Relation(n, a.copy()) and hash(ra) == hash(Relation(n, a.copy()))
+
+    def test_failing_left_move_leaves_the_columns_unbuilt(self):
+        lts = Lts(["0", "1"], [(0, "a", 1), (1, "a", 0)])
+        r = Relation.from_pairs(2, [(0, 1)])
+        # 0 -a-> 1 needs (1, 0) in s: a left move that fails at once
+        s = Relation.from_pairs(2, [(1, 1)])
+        assert not progress_holds(lts, r, s)
+        assert s._cols is None
+        assert [v.direction for v in progresses_to(lts, r, s).violations] == ["left", "right"]
+        assert s._cols == (0, 2)
 
     def test_successor_bits_built_on_first_progress_check(self):
         lts = _kernel_system(5, 65)

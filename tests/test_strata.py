@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from upto import Lts, Relation, compute_strata, largest_progressing_to, progresses_to
+from upto import Lts, Relation, compute_strata, largest_progressing_to, lrf, progresses_to
+from upto.formats import render_relation
 from upto.gallery import build_T
 from upto.sampling import random_lts
 from upto.strata import StrataSequence, bisimilarity, stratum
@@ -168,15 +169,26 @@ class TestOracles:
             [str(i) for i in range(n)],
             [(rng.randrange(n), a, rng.randrange(n)) for a in "ab" for _ in range(12 * n // 5)],
         )
+        peaks = []
+
+        def measured(step):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
         tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            seq = compute_strata(lts)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            seq = measured(lambda: compute_strata(lts))
+            text = measured(lambda: render_relation(seq.bisimilarity()))
+            image = measured(lambda: lrf(seq, Relation.identity(n)))
         finally:
             tracemalloc.stop()
         assert seq.epsilon >= 3
-        assert peak < 64 * 2**20
+        assert text.count("(") == len(seq.bisimilarity()) > n
+        assert image == seq.bisimilarity()
+        assert max(peaks) < 64 * 2**20, peaks
 
     def test_gallery_ladder_epsilon(self):
         for n in range(6):
