@@ -2,8 +2,10 @@
 
 The .aut grammar is the single interchange format for transition systems;
 relations and lattices use small JSON documents (with a plain line-per-pair
-text form for relations).  All rendered output is canonically sorted so
-repeated runs are byte-identical.
+text form for relations).  A lattice given by its cover pairs is closed
+into its order by composing the row-bitset ``Relation`` with itself until
+it is stable.  All rendered output is canonically sorted so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -220,12 +222,13 @@ def parse_lattice(text: str) -> FiniteLattice:
             raise LatticeParseError(f"order pair ({a!r}, {b!r}) names unknown elements")
         mat[index[a], index[b]] = True
     if doc.kind == "cover":
-        mat |= np.eye(m, dtype=bool)
+        order = Relation(m, mat | np.eye(m, dtype=bool))
         while True:
-            closed = mat | (mat @ mat)
-            if np.array_equal(closed, mat):
+            closed = order | order.compose(order)
+            if closed == order:
                 break
-            mat = closed
+            order = closed
+        mat = order.matrix
     return validate_lattice(doc.elements, mat)
 
 

@@ -10,16 +10,20 @@ sense, and a powerset construction bridges back to the relation world.  The
 enumeration is one batched numpy pass: every function is a row of one int
 array, and each predicate tests all rows at once (index arrays of at most
 3125 x 5 x 5 at the enumeration cap); a single function is the one-row case.
+Composing with the order (transitivity, order closure) goes through the
+row-bitset ``Relation`` of ``lts``, and the bridge builds its progression
+from ``largest_progressing_to``: no boolean matrix product is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lts import Lts, Relation, _pack_rows, _violations, bool_mm
+from .lts import Lts, Relation, largest_progressing_to
 
 
 class LatticeValidationError(ValueError):
@@ -94,19 +98,21 @@ def _as_order_matrix(m: int, order) -> np.ndarray:
         return mat
     mat = np.zeros((m, m), dtype=bool)
     for a, b in order:
+        a, b = index(a), index(b)
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"pair ({a}, {b}) out of range for {m} elements")
         mat[a, b] = True
     return mat
 
 
-def _bound_table(up_rows: np.ndarray, names: Sequence[str], kind: str):
-    """Least-bound table from per-element bound rows (up-sets or down-sets).
+def _bound_table(masks: tuple[int, ...], names: Sequence[str], kind: str):
+    """Least-bound table from per-element bound bitsets (up-sets or down-sets).
 
-    The bound of a pair exists iff the intersection of their rows is itself
-    some element's row; antisymmetry makes rows unique, so a dict keyed on
-    row bitmasks resolves each pair in one lookup.
+    The bound of a pair exists iff the intersection of their sets is itself
+    some element's set; antisymmetry makes the sets unique, so a dict keyed
+    on them resolves each pair in one lookup.
     """
-    m = up_rows.shape[0]
-    masks = _pack_rows(up_rows)
+    m = len(masks)
     owner = {mask: i for i, mask in enumerate(masks)}
     table = np.zeros((m, m), dtype=np.int64)
     violations = []
@@ -146,17 +152,19 @@ def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
     for i, j in zip(*np.nonzero(anti)):
         if i < j:
             violations.append(f"not antisymmetric: {names[i]} and {names[j]}")
-    gap = bool_mm(leq, leq) & ~leq
-    for count, (i, j) in enumerate(zip(*np.nonzero(gap))):
+    order = Relation(m, leq)
+    gap = order.compose(order) - order
+    for count, (i, j) in enumerate(gap.pairs):
         if count >= 20:
-            violations.append(f"... and {int(gap.sum()) - 20} more transitivity gaps")
+            violations.append(f"... and {len(gap) - 20} more transitivity gaps")
             break
         violations.append(f"not transitive: {names[i]} .. {names[j]} reachable but unrelated")
     if violations:
         raise LatticeValidationError(violations)
 
-    join_table, jv = _bound_table(leq, names, "join")
-    meet_table, mv = _bound_table(np.ascontiguousarray(leq.T), names, "meet")
+    # row i of the order is the up-set of i, column i its down-set
+    join_table, jv = _bound_table(order.row_bits, names, "join")
+    meet_table, mv = _bound_table(order.column_bits, names, "meet")
     violations.extend(jv)
     violations.extend(mv)
     if violations:
@@ -195,20 +203,19 @@ def is_progression(lattice: FiniteLattice, rel) -> ProgressionVerdict:
     """
     m = lattice.size
     mat = _as_order_matrix(m, rel)
-    leq = lattice.leq
+    order, r = Relation(m, lattice.leq), Relation(m, mat)
     names = lattice.elements
     violations: list[ProgressionViolation] = []
     total = 0
 
-    closure = bool_mm(bool_mm(leq, mat), leq)
-    missing = closure & ~mat
-    for a, b in zip(*np.nonzero(missing)):
+    missing = order.compose(r).compose(order) - r
+    for a, b in missing.pairs:
         total += 1
         if len(violations) < ProgressionVerdict._CAP:
             violations.append(
                 ProgressionViolation(
                     1,
-                    (int(a), int(b)),
+                    (a, b),
                     f"order closure requires ({names[a]}, {names[b]})",
                 )
             )
@@ -273,9 +280,9 @@ def close_to_progression(lattice: FiniteLattice, seed) -> LatticeProgression:
     """
     m = lattice.size
     rel = _as_order_matrix(m, seed)
-    leq = lattice.leq
+    order = Relation(m, lattice.leq)
     while True:
-        new = rel | bool_mm(bool_mm(leq, rel), leq)
+        new = rel | order.compose(Relation(m, rel)).compose(order).matrix
         for b in range(m):
             j = lattice.join_all(int(i) for i in np.nonzero(new[:, b])[0])
             new[j, b] = True
@@ -314,7 +321,7 @@ def z_chain(lattice: FiniteLattice, progression: LatticeProgression) -> LatticeC
 
 def s_of(lattice: FiniteLattice, progression: LatticeProgression, x: int) -> int:
     """Join of the pre-image of x under the progression."""
-    return lattice.join_all(progression.pre_image(x))
+    return progression.s_vector[x]
 
 
 def companion_at(
@@ -540,9 +547,9 @@ def lts_to_lattice(
 
     Element i is the relation whose member pairs are the set bits of i under
     row-major pair order.  The relation of the progression holds between X
-    and S exactly when X progresses to S, decided pair by pair from the
-    progress clauses.  Both progression conditions are re-validated on the
-    result.
+    and S exactly when X progresses to S, that is when X lies below the
+    largest relation progressing to S.  Both progression conditions are
+    re-validated on the result.
     """
     if max_states > BRIDGE_STATE_CAP:
         raise ValueError(f"bridge construction is capped at {BRIDGE_STATE_CAP} states")
@@ -550,7 +557,6 @@ def lts_to_lattice(
     if n > max_states:
         raise ValueError(f"LTS has {n} states; bound is {max_states}")
     m = 1 << (n * n)
-    pairs = [(p, q) for p in range(n) for q in range(n)]
 
     names = [relation_element_name(n, mask) for mask in range(m)]
     idx = np.arange(m, dtype=np.int64)
@@ -559,8 +565,7 @@ def lts_to_lattice(
 
     rel = np.zeros((m, m), dtype=bool)
     for s_mask in range(m):
-        failing = {v.pair for v in _violations(lts, pairs, element_relation(n, s_mask))}
-        ok = sum(1 << k for k, pair in enumerate(pairs) if pair not in failing)
+        ok = relation_element_index(largest_progressing_to(lts, element_relation(n, s_mask)))
         rel[:, s_mask] = (idx & ~ok) == 0
     progression = LatticeProgression(lattice, rel)
     return lattice, progression

@@ -5,9 +5,11 @@ pair in R can be matched by the other side, with the derivative pair landing
 in S.  The two operations here are the per-pair progress test and the
 largest relation progressing to a fixed target, the general operator that
 the stratum chain (built by partition refinement in ``strata``) is tested
-against.  One lazy generator of unmatched moves serves the per-pair test
-twice: drained, it is the diagnosis the proof checker reports; stopped at
-its first item, it is the early-exit test.
+against.  One lazy generator of unmatched moves is the only code for the
+two progress clauses.  Drained, it is the diagnosis the proof checker
+reports; stopped at its first item, it is the early-exit test; run on each
+single pair, it gives the largest relation progressing to a target, since
+such relations are closed under union.  No matrix product is involved.
 
 A relation is one int per state: bit q of ``Relation.row_bits[p]`` is set
 iff (p, q) is in it; its n x n boolean matrix is only a view on request.
@@ -26,20 +28,6 @@ from operator import and_, index, or_
 from typing import Iterable, Iterator
 
 import numpy as np
-
-
-def bool_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product.
-
-    numpy's native bool matmul short-circuits well on dense operands but
-    falls back to full cubic scalar loops on sparse ones, which is exactly
-    the shape of transition matrices at scale; routing through float32 BLAS
-    is exact here (row counts stay far below float32's integer range) and
-    orders of magnitude faster.  Small matrices skip the casts.
-    """
-    if a.shape[0] <= 64:
-        return a @ b
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
 
 
 @dataclass(frozen=True)
@@ -65,9 +53,7 @@ class Lts:
     iteration over the structure is deterministic.
     """
 
-    __slots__ = (
-        "n_states", "state_names", "labels", "transitions", "_succ", "_succ_bits", "_label_mats"
-    )
+    __slots__ = ("n_states", "state_names", "labels", "transitions", "_succ", "_succ_bits")
 
     def __init__(self, state_names: Iterable[str], triples: Iterable[tuple[int, str, int]]):
         names = tuple(str(s) for s in state_names)
@@ -75,17 +61,17 @@ class Lts:
             raise ValueError("state names must be pairwise distinct")
         n = len(names)
 
-        triples = [(int(p), str(a), int(q)) for (p, a, q) in triples]
+        triples = [(index(p), str(a), index(q)) for (p, a, q) in triples]
         for p, a, q in triples:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"transition ({p}, {a!r}, {q}) out of range for {n} states")
         texts = sorted({a for _, a, _ in triples})
         labels = tuple(Label(a) for a in texts)
-        index = {a: i for i, a in enumerate(texts)}
+        label_index = {a: i for i, a in enumerate(texts)}
 
         per_state: list[set[tuple[int, int]]] = [set() for _ in range(n)]
         for p, a, q in triples:
-            per_state[p].add((index[a], q))
+            per_state[p].add((label_index[a], q))
 
         object.__setattr__(self, "n_states", n)
         object.__setattr__(self, "state_names", names)
@@ -97,7 +83,6 @@ class Lts:
         )
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_succ_bits", None)
-        object.__setattr__(self, "_label_mats", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lts is immutable")
@@ -121,24 +106,6 @@ class Lts:
     @property
     def n_transitions(self) -> int:
         return sum(len(ts) for ts in self.transitions)
-
-    @property
-    def label_matrices(self) -> tuple[np.ndarray, ...]:
-        """One boolean adjacency matrix per label, cached."""
-        mats = self._label_mats
-        if mats is None:
-            n = self.n_states
-            mats = []
-            for a in range(len(self.labels)):
-                m = np.zeros((n, n), dtype=bool)
-                for p in range(n):
-                    for q in self._succ[p][a]:
-                        m[p, q] = True
-                m.flags.writeable = False
-                mats.append(m)
-            mats = tuple(mats)
-            object.__setattr__(self, "_label_mats", mats)
-        return mats
 
     def __eq__(self, other):
         if not isinstance(other, Lts):
@@ -171,7 +138,12 @@ class Relation:
         mat = np.asarray(matrix, dtype=bool)
         if mat.shape != (n_states, n_states):
             raise ValueError(f"matrix shape {mat.shape} does not match {n_states} states")
-        self._set(n_states, _pack_rows(mat), None)
+        # row p as an int, column k at bit k
+        packed = np.packbits(mat, axis=1, bitorder="little")
+        data, width = packed.tobytes(), max(packed.shape[1], 1)
+        starts = range(0, len(data), width)
+        rows = tuple(int.from_bytes(data[i : i + width], "little") for i in starts)
+        self._set(n_states, rows, None)
 
     def _set(self, n_states: int, rows: tuple[int, ...], cols) -> "Relation":
         object.__setattr__(self, "n_states", n_states)
@@ -336,13 +308,6 @@ class Relation:
         return f"Relation({self.n_states}, {{{inner}}})"
 
 
-def _pack_rows(mat: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as an int, column k at bit k."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    data, width = packed.tobytes(), max(packed.shape[1], 1)
-    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
-
-
 def _image(rows: tuple[int, ...], members: int) -> int:
     """The union of rows[q] over the set bits q of members."""
     out = 0
@@ -427,22 +392,15 @@ def largest_progressing_to(lts: Lts, s: Relation) -> Relation:
     """The largest relation progressing to s.
 
     Relations progressing to a fixed target are closed under union, so the
-    largest one is exactly the set of pairs that individually satisfy both
-    progress clauses.  Computed here with boolean matrix products, one pass
-    per label.
+    largest one is exactly the set of pairs that progress to s on their own:
+    the pairs (p, q) whose walk of both progress clauses finds no unmatched
+    move.
     """
     if s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
     n = lts.n_states
-    smat = s.matrix
-    good = np.ones((n, n), dtype=bool)
-    for t in lts.label_matrices:
-        # can_left[p', q]: q has a move under this label whose target is
-        # s-related to p'.  A pair fails clause 1 when some move of p lacks one.
-        can_left = bool_mm(smat, t.T)
-        good &= ~bool_mm(t, ~can_left)
-        # can_right[p, q']: p has a move under this label whose target is
-        # s-related to q'.  Clause 2 is the mirror image.
-        can_right = bool_mm(t, smat)
-        good &= ~bool_mm(~can_right, t.T)
-    return Relation(n, good)
+    rows = tuple(
+        sum(1 << q for q in range(n) if next(_violations(lts, ((p, q),), s), None) is None)
+        for p in range(n)
+    )
+    return Relation._from_rows(n, rows)

@@ -2,9 +2,11 @@
 
 The oracles deliberately avoid the library's own computation routes:
 refinement_strata rebuilds the stratum chain by partition refinement over
-transition signatures, matrix_strata iterates the dense matrix operator,
-scan_lrf reads lrf off the materialized strata, scalar_violations walks the
-progress clauses one boolean matrix entry at a time, and the enumeration
+transition signatures, matrix_largest_progressing_to computes the largest
+relation progressing to a target with integer matrix products and
+matrix_strata iterates it, scan_lrf reads lrf off the materialized strata,
+scalar_violations walks the progress clauses one boolean matrix entry at a
+time, and the enumeration
 helpers sweep every relation on a small state space or every endofunction of
 a small lattice, one function at a time.
 """
@@ -12,8 +14,9 @@ a small lattice, one function at a time.
 import itertools
 
 import hypothesis.strategies as st
+import numpy as np
 
-from upto import Lts, Relation, largest_progressing_to
+from upto import Lts, Relation
 from upto.lattice import MonotoneClassification
 from upto.lts import ProgressViolation
 
@@ -45,12 +48,32 @@ def refinement_strata(lts):
     ]
 
 
+def matrix_largest_progressing_to(lts, s):
+    """largest_progressing_to by four integer matrix products per label."""
+    n = lts.n_states
+    smat = s.matrix.astype(int)
+    good = np.ones((n, n), dtype=bool)
+    for a in range(len(lts.labels)):
+        t = np.zeros((n, n), dtype=int)
+        for p in range(n):
+            t[p, list(lts.successors(p, a))] = 1
+        # can_left[p1, q]: q has an a-move to a state s-related from p1.
+        # A pair fails clause 1 when some a-move of p lacks one.
+        can_left = (smat @ t.T) > 0
+        good &= (t @ ~can_left) == 0
+        # can_right[p, q1]: p has an a-move to a state s-related to q1.
+        # Clause 2 is the mirror image.
+        can_right = (t @ smat) > 0
+        good &= (~can_right @ t.T) == 0
+    return Relation(n, good)
+
+
 def matrix_strata(lts):
-    """Stratum chain by iterating largest_progressing_to from the full
-    relation until it stops changing, as a list of Relations."""
+    """Stratum chain by iterating matrix_largest_progressing_to from the
+    full relation until it stops changing, as a list of Relations."""
     chain = [Relation.full(lts.n_states)]
     while True:
-        nxt = largest_progressing_to(lts, chain[-1])
+        nxt = matrix_largest_progressing_to(lts, chain[-1])
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)

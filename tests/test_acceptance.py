@@ -48,7 +48,7 @@ from upto.sampling import (
     random_subrelation,
 )
 
-from helpers import all_relations
+from helpers import all_relations, matrix_largest_progressing_to
 
 
 @contextmanager
@@ -220,6 +220,9 @@ def test_criterion_8_bridge_recovers_relation_results():
                 )
                 assert s_of(lat, prog, mask) == relation_element_index(
                     largest_progressing_to(lts, r)
+                )
+                assert s_of(lat, prog, mask) == relation_element_index(
+                    matrix_largest_progressing_to(lts, r)
                 )
 
 

@@ -37,7 +37,7 @@ from upto.lattice import (
 )
 from upto.sampling import random_lattice_progression
 
-from helpers import enumerated_classification, enumerated_largest
+from helpers import enumerated_classification, enumerated_largest, matrix_largest_progressing_to
 
 STANDARD_LATTICES = (
     ("chain2", chain_lattice(2)),
@@ -89,6 +89,32 @@ class TestValidateLattice:
                 [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)],  # missing (0, 2)
             )
         assert any("transitive" in v for v in err.value.violations)
+
+    def test_transitivity_gaps_listed_in_order_then_counted(self):
+        # a 30-element chain given by its covers: (i, i + 2) is missing for each i < 28
+        pairs = [(i, i) for i in range(30)] + [(i, i + 1) for i in range(29)]
+        with pytest.raises(LatticeValidationError) as err:
+            validate_lattice([f"c{i}" for i in range(30)], pairs)
+        assert err.value.violations[:2] == [
+            "not transitive: c0 .. c2 reachable but unrelated",
+            "not transitive: c1 .. c3 reachable but unrelated",
+        ]
+        assert err.value.violations[19] == "not transitive: c19 .. c21 reachable but unrelated"
+        assert err.value.violations[20:] == ["... and 8 more transitivity gaps"]
+
+    @pytest.mark.parametrize(
+        "bad", [(-1, -1), (0, -1), (-1, 0), (0, 2), (2, 0), (2, 2)]
+    )
+    def test_order_pairs_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="out of range for 2 elements"):
+            validate_lattice(["a", "b"], [(0, 0), (1, 1), bad])
+        with pytest.raises(ValueError, match="out of range for 2 elements"):
+            is_progression(chain_lattice(2), [(0, 0), bad])
+
+    def test_order_pairs_in_range_accepted(self):
+        lat = validate_lattice(["a", "b"], [(0, 0), (np.int64(0), 1), (1, np.intp(1))])
+        assert lat.le(0, 1) and not lat.le(1, 0)
+        assert is_progression(lat, [(0, 0), (0, 1), (1, 1)]).holds
 
     def test_empty_invalid(self):
         with pytest.raises(LatticeValidationError):
@@ -406,6 +432,9 @@ class TestBridge:
             )
             assert s_of(lat, prog, mask) == relation_element_index(
                 largest_progressing_to(t2, r)
+            )
+            assert s_of(lat, prog, mask) == relation_element_index(
+                matrix_largest_progressing_to(t2, r)
             )
 
     def test_state_cap_enforced(self):

@@ -15,7 +15,13 @@ from upto import (
 )
 from upto.lts import _violations
 
-from helpers import all_relations, lts_with_relations, scalar_violations, small_lts
+from helpers import (
+    all_relations,
+    lts_with_relations,
+    matrix_largest_progressing_to,
+    scalar_violations,
+    small_lts,
+)
 
 
 class TestLtsConstruction:
@@ -37,6 +43,16 @@ class TestLtsConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Lts(["s"], [(0, "a", 1)])
+
+    @pytest.mark.parametrize("triple", [(0.9, "x", 1), (0, "x", 1.7), (0, "x", "1"), ("0", "x", 1)])
+    def test_state_indices_must_be_integers(self, triple):
+        with pytest.raises(TypeError):
+            Lts(["a", "b"], [triple])
+
+    def test_numpy_integer_state_indices_accepted(self):
+        lts = Lts(["a", "b"], [(np.int64(0), "x", np.uint8(1))])
+        assert list(lts.triples()) == [(0, "x", 1)]
+        assert all(type(v) is int for p, _, q in lts.triples() for v in (p, q))
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +200,11 @@ class TestLargestProgressingTo:
                 union = union | x
         assert largest_progressing_to(lts, s) == union
 
+    @given(lts_with_relations(count=1, max_states=4, max_labels=3))
+    def test_equals_matrix_oracle(self, drawn):
+        lts, s = drawn
+        assert largest_progressing_to(lts, s) == matrix_largest_progressing_to(lts, s)
+
 
 class TestProgressProperties:
     @given(lts_with_relations(count=4, max_states=3))
@@ -273,6 +294,13 @@ class TestBitsetKernel:
                 expected = tuple(scalar_violations(lts, r.pairs, smat))
                 assert progresses_to(lts, r, s).violations == expected
                 assert progress_holds(lts, r, s) == (not expected)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_largest_progressing_to_matches_matrix_oracle(self, n):
+        lts = _kernel_system(400 + n, n)
+        bisim, bisim_matrix = _bisimilarity_with_matrix(lts)
+        for s, _ in _kernel_targets(500 + n, n) + [(bisim, bisim_matrix)]:
+            assert largest_progressing_to(lts, s) == matrix_largest_progressing_to(lts, s)
 
     def test_walks_pairs_in_the_given_order(self):
         lts = _kernel_system(3, 9)
