@@ -47,7 +47,6 @@ from .lattice import (
     is_r_monotone,
     lts_to_lattice,
     relation_element_index,
-    s_of,
     validate_lattice,
     z_chain,
 )

@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except MemoryError as e:
-        print(f"error: input too large: {e or 'out of memory'}", file=sys.stderr)
+        print(f"error: input too large: {str(e) or 'out of memory'}", file=sys.stderr)
         return INPUT_ERROR
 
 

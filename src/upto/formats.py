@@ -2,10 +2,11 @@
 
 The .aut grammar is the single interchange format for transition systems;
 relations and lattices use small JSON documents (with a plain line-per-pair
-text form for relations).  A lattice given by its cover pairs is closed
-into its order by composing the row-bitset ``Relation`` with itself until
-it is stable.  All rendered output is canonically sorted so repeated runs
-are byte-identical.
+text form for relations).  Lattice orders and progressions are parsed
+straight into row-bitset ``Relation``s over element indices; a lattice given
+by its cover pairs is closed into its order by composing that relation with
+itself until it is stable.  All rendered output is canonically sorted so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import json
 import re
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .lattice import FiniteLattice, LatticeProgression, validate_lattice
 from .lts import Lts, Relation
@@ -216,33 +215,25 @@ def parse_lattice(text: str) -> FiniteLattice:
     doc = parse_lattice_document(text)
     index = {name: i for i, name in enumerate(doc.elements)}
     m = len(doc.elements)
-    mat = np.zeros((m, m), dtype=bool)
     for a, b in doc.pairs:
         if a not in index or b not in index:
             raise LatticeParseError(f"order pair ({a!r}, {b!r}) names unknown elements")
-        mat[index[a], index[b]] = True
+    order = Relation.from_pairs(m, [(index[a], index[b]) for a, b in doc.pairs])
     if doc.kind == "cover":
-        order = Relation(m, mat | np.eye(m, dtype=bool))
-        while True:
-            closed = order | order.compose(order)
-            if closed == order:
-                break
-            order = closed
-        mat = order.matrix
-    return validate_lattice(doc.elements, mat)
+        closed = order | Relation.identity(m)
+        while closed != order:
+            order, closed = closed, closed | closed.compose(closed)
+    return validate_lattice(doc.elements, order)
 
 
 def parse_progression(text: str, lattice: FiniteLattice) -> LatticeProgression:
     """Parse a relation over lattice elements and validate it as a progression."""
     doc = parse_relation_document(text)
-    m = lattice.size
-    mat = np.zeros((m, m), dtype=bool)
-    for a, b in doc.pairs:
-        try:
-            mat[lattice.index(a), lattice.index(b)] = True
-        except KeyError as e:
-            raise LatticeParseError(str(e.args[0])) from None
-    return LatticeProgression(lattice, mat)
+    try:
+        pairs = [(lattice.index(a), lattice.index(b)) for a, b in doc.pairs]
+    except KeyError as e:
+        raise LatticeParseError(str(e.args[0])) from None
+    return LatticeProgression(lattice, Relation.from_pairs(lattice.size, pairs))
 
 
 def _dot_escape(s: str) -> str:

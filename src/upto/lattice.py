@@ -6,13 +6,16 @@ pre-image" from the top yields a decreasing chain; the companion maps each
 element to the deepest chain member above it.  Brute-force enumeration over
 all endofunctions provides the oracle that the companion is the largest
 function in both the order-and-relation-monotone sense and the compatible
-sense, and a powerset construction bridges back to the relation world.  The
-enumeration is one batched numpy pass: every function is a row of one int
-array, and each predicate tests all rows at once (index arrays of at most
-3125 x 5 x 5 at the enumeration cap); a single function is the one-row case.
-Composing with the order (transitivity, order closure) goes through the
-row-bitset ``Relation`` of ``lts``, and the bridge builds its progression
-from ``largest_progressing_to``: no boolean matrix product is computed.
+sense, and a powerset construction bridges back to the relation world.
+
+Every relation on lattice elements is a row-bitset ``Relation`` of ``lts``:
+the order of a ``FiniteLattice`` (row i is the up-set of i, column i its
+down-set) and the relation of a ``LatticeProgression``; joins and meets are
+int tables.  Checking a progression and closing a seed into one share one
+step, the pairs both conditions require.  Only the enumeration uses numpy:
+every function is a row of one int array, and each predicate tests all rows
+at once against boolean matrix views of the relations (index arrays of at
+most 3125 x 5 x 5 at the enumeration cap); one function is the one-row case.
 """
 
 from __future__ import annotations
@@ -37,20 +40,19 @@ class LatticeValidationError(ValueError):
 
 
 class FiniteLattice:
-    """A validated finite complete lattice with cached join/meet tables."""
+    """A validated finite complete lattice: its order and join/meet tables.
 
-    __slots__ = ("elements", "leq", "join_table", "meet_table", "top", "bottom", "_index")
+    Two lattices are equal when they have the same element names and order.
+    """
 
-    def __init__(self, elements, leq, join_table, meet_table, top, bottom):
-        object.__setattr__(self, "elements", tuple(elements))
-        for m in (leq, join_table, meet_table):
-            m.flags.writeable = False
-        object.__setattr__(self, "leq", leq)
-        object.__setattr__(self, "join_table", join_table)
-        object.__setattr__(self, "meet_table", meet_table)
-        object.__setattr__(self, "top", int(top))
-        object.__setattr__(self, "bottom", int(bottom))
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.elements)})
+    __slots__ = ("elements", "order", "join_table", "meet_table", "top", "bottom", "_index")
+
+    def __init__(self, elements, order: Relation, join_table, meet_table, top, bottom):
+        elements = tuple(elements)
+        index = {name: i for i, name in enumerate(elements)}
+        values = (elements, order, join_table, meet_table, top, bottom, index)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteLattice is immutable")
@@ -59,6 +61,11 @@ class FiniteLattice:
     def size(self) -> int:
         return len(self.elements)
 
+    @property
+    def leq(self) -> np.ndarray:
+        """The order as a read-only m x m boolean array, built on each request."""
+        return self.order.matrix
+
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -66,43 +73,53 @@ class FiniteLattice:
             raise KeyError(f"unknown lattice element {name!r}") from None
 
     def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
+        return bool(self.order.row_bits[a] >> b & 1)
 
     def join(self, a: int, b: int) -> int:
-        return int(self.join_table[a, b])
+        return self.join_table[a][b]
 
     def meet(self, a: int, b: int) -> int:
-        return int(self.meet_table[a, b])
+        return self.meet_table[a][b]
 
     def join_all(self, items: Iterable[int]) -> int:
         out = self.bottom
         for i in items:
-            out = int(self.join_table[out, i])
+            out = self.join_table[out][i]
         return out
 
     def meet_all(self, items: Iterable[int]) -> int:
         out = self.top
         for i in items:
-            out = int(self.meet_table[out, i])
+            out = self.meet_table[out][i]
         return out
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteLattice):
+            return NotImplemented
+        return self.elements == other.elements and self.order == other.order
+
+    def __hash__(self):
+        return hash((self.elements, self.order))
 
     def __repr__(self):
         return f"FiniteLattice({self.size} elements, top={self.elements[self.top]!r})"
 
 
-def _as_order_matrix(m: int, order) -> np.ndarray:
-    if isinstance(order, np.ndarray):
-        mat = np.array(order, dtype=bool, copy=True)
-        if mat.shape != (m, m):
-            raise ValueError(f"order matrix shape {mat.shape} does not match {m} elements")
-        return mat
-    mat = np.zeros((m, m), dtype=bool)
-    for a, b in order:
+def _as_relation(m: int, rel) -> Relation:
+    """A relation on m elements, given as a Relation, a boolean matrix or index pairs."""
+    if isinstance(rel, Relation) and rel.n_states == m:
+        return rel
+    if hasattr(rel, "shape"):
+        if rel.shape != (m, m):
+            raise ValueError(f"order matrix shape {rel.shape} does not match {m} elements")
+        return Relation(m, rel)
+    rows = [0] * m
+    for a, b in rel:
         a, b = index(a), index(b)
         if not (0 <= a < m and 0 <= b < m):
             raise ValueError(f"pair ({a}, {b}) out of range for {m} elements")
-        mat[a, b] = True
-    return mat
+        rows[a] |= 1 << b
+    return Relation._from_rows(m, tuple(rows))
 
 
 def _bound_table(masks: tuple[int, ...], names: Sequence[str], kind: str):
@@ -114,7 +131,7 @@ def _bound_table(masks: tuple[int, ...], names: Sequence[str], kind: str):
     """
     m = len(masks)
     owner = {mask: i for i, mask in enumerate(masks)}
-    table = np.zeros((m, m), dtype=np.int64)
+    table = [[0] * m for _ in range(m)]
     violations = []
     for i in range(m):
         mi = masks[i]
@@ -123,18 +140,19 @@ def _bound_table(masks: tuple[int, ...], names: Sequence[str], kind: str):
             if got is None:
                 violations.append(f"missing {kind} of {names[i]} and {names[j]}")
                 got = 0
-            table[i, j] = table[j, i] = got
-    return table, violations
+            table[i][j] = table[j][i] = got
+    return tuple(map(tuple, table)), violations
 
 
 def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
     """Check the lattice axioms on (elements, order) and build the structure.
 
-    order is a boolean matrix over element indices or an iterable of index
-    pairs, and must already be the full order (parsers close cover relations
-    first).  Raises LatticeValidationError carrying every violation found:
-    poset axioms first, then missing binary joins/meets.  For a finite poset
-    all binary bounds plus non-emptiness give completeness.
+    order is a Relation, a boolean matrix over element indices or an
+    iterable of index pairs, and must already be the full order (parsers
+    close cover relations first).  Raises LatticeValidationError carrying
+    every violation found: poset axioms first, then missing binary
+    joins/meets.  For a finite poset all binary bounds plus non-emptiness
+    give completeness.
     """
     names = [str(e) for e in elements]
     violations: list[str] = []
@@ -143,16 +161,14 @@ def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
     if len(set(names)) != len(names):
         raise LatticeValidationError(["element names are not pairwise distinct"])
     m = len(names)
-    leq = _as_order_matrix(m, order)
+    order = _as_relation(m, order)
 
-    if not leq.diagonal().all():
-        for i in np.nonzero(~leq.diagonal())[0]:
+    for i, row in enumerate(order.row_bits):
+        if not row >> i & 1:
             violations.append(f"not reflexive: {names[i]}")
-    anti = leq & leq.T & ~np.eye(m, dtype=bool)
-    for i, j in zip(*np.nonzero(anti)):
+    for i, j in (order & order.converse()).pairs:
         if i < j:
             violations.append(f"not antisymmetric: {names[i]} and {names[j]}")
-    order = Relation(m, leq)
     gap = order.compose(order) - order
     for count, (i, j) in enumerate(gap.pairs):
         if count >= 20:
@@ -162,7 +178,6 @@ def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
     if violations:
         raise LatticeValidationError(violations)
 
-    # row i of the order is the up-set of i, column i its down-set
     join_table, jv = _bound_table(order.row_bits, names, "join")
     meet_table, mv = _bound_table(order.column_bits, names, "meet")
     violations.extend(jv)
@@ -170,12 +185,10 @@ def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
     if violations:
         raise LatticeValidationError(violations)
 
-    tops = np.nonzero(leq.all(axis=0))[0]
-    bottoms = np.nonzero(leq.all(axis=1))[0]
-    if len(tops) != 1 or len(bottoms) != 1:
-        # unreachable once binary bounds exist, kept as a guard
-        raise LatticeValidationError(["no unique top/bottom element"])
-    return FiniteLattice(names, leq, join_table, meet_table, tops[0], bottoms[0])
+    # binary bounds give a top and a bottom, antisymmetry makes them unique
+    full = (1 << m) - 1
+    top, bottom = order.column_bits.index(full), order.row_bits.index(full)
+    return FiniteLattice(names, order, join_table, meet_table, top, bottom)
 
 
 @dataclass(frozen=True)
@@ -194,6 +207,21 @@ class ProgressionVerdict:
     _CAP = 100
 
 
+def _pre_image_joins(lattice: FiniteLattice, rel: Relation) -> tuple[int, ...]:
+    """For every element b, the join of its pre-image under rel."""
+    joins = [lattice.bottom] * lattice.size
+    for a, b in rel.pairs:
+        joins[b] = lattice.join_table[joins[b]][a]
+    return tuple(joins)
+
+
+def _required(lattice: FiniteLattice, rel: Relation) -> tuple[Relation, tuple[int, ...]]:
+    """What the progression conditions require of rel: order . rel . order
+    (condition 1), and (joins[b], b) for every b (condition 2)."""
+    order = lattice.order
+    return order.compose(rel).compose(order), _pre_image_joins(lattice, rel)
+
+
 def is_progression(lattice: FiniteLattice, rel) -> ProgressionVerdict:
     """Exhaustively check both progression conditions on a candidate relation.
 
@@ -201,95 +229,65 @@ def is_progression(lattice: FiniteLattice, rel) -> ProgressionVerdict:
     relation.  Condition 2: every pre-image contains its own join.  The
     verdict reports at most 100 witnesses but counts them all.
     """
-    m = lattice.size
-    mat = _as_order_matrix(m, rel)
-    order, r = Relation(m, lattice.leq), Relation(m, mat)
-    names = lattice.elements
-    violations: list[ProgressionViolation] = []
-    total = 0
-
-    missing = order.compose(r).compose(order) - r
-    for a, b in missing.pairs:
-        total += 1
-        if len(violations) < ProgressionVerdict._CAP:
-            violations.append(
-                ProgressionViolation(
-                    1,
-                    (a, b),
-                    f"order closure requires ({names[a]}, {names[b]})",
-                )
-            )
-
-    for b in range(m):
-        pre = np.nonzero(mat[:, b])[0]
-        j = lattice.join_all(int(i) for i in pre)
-        if not mat[j, b]:
-            total += 1
-            if len(violations) < ProgressionVerdict._CAP:
-                violations.append(
-                    ProgressionViolation(
-                        2,
-                        (j, b),
-                        f"join {names[j]} of the pre-image of {names[b]} is not in it",
-                    )
-                )
-
+    rel = _as_relation(lattice.size, rel)
+    closure, joins = _required(lattice, rel)
+    unclosed = (closure - rel).pairs
+    unjoined = [(j, b) for b, j in enumerate(joins) if (j, b) not in rel]
+    names, cap = lattice.elements, ProgressionVerdict._CAP
+    violations = [
+        ProgressionViolation(1, (a, b), f"order closure requires ({names[a]}, {names[b]})")
+        for a, b in unclosed[:cap]
+    ]
+    violations += [
+        ProgressionViolation(
+            2, (j, b), f"join {names[j]} of the pre-image of {names[b]} is not in it"
+        )
+        for j, b in unjoined[: cap - len(violations)]
+    ]
+    total = len(unclosed) + len(unjoined)
     return ProgressionVerdict(total == 0, tuple(violations), total)
 
 
 class LatticeProgression:
-    """A relation validated to satisfy both progression conditions."""
+    """A relation validated to satisfy both progression conditions.
 
-    __slots__ = ("lattice", "rel", "_s_vec")
+    s_vector[b] is the join of the pre-image of b.
+    """
+
+    __slots__ = ("lattice", "rel", "s_vector")
 
     def __init__(self, lattice: FiniteLattice, rel):
-        mat = _as_order_matrix(lattice.size, rel)
-        verdict = is_progression(lattice, mat)
+        rel = _as_relation(lattice.size, rel)
+        verdict = is_progression(lattice, rel)
         if not verdict.holds:
             first = verdict.violations[0].description if verdict.violations else ""
             raise ValueError(
                 f"not a progression ({verdict.violation_count} violations): {first}"
             )
-        mat.flags.writeable = False
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "rel", mat)
-        object.__setattr__(self, "_s_vec", None)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "s_vector", _pre_image_joins(lattice, rel))
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeProgression is immutable")
-
-    def pre_image(self, b: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.rel[:, b])[0])
-
-    @property
-    def s_vector(self) -> tuple[int, ...]:
-        """Join of the pre-image, for every element; cached."""
-        if self._s_vec is None:
-            l = self.lattice
-            vec = tuple(l.join_all(self.pre_image(b)) for b in range(l.size))
-            object.__setattr__(self, "_s_vec", vec)
-        return self._s_vec
 
 
 def close_to_progression(lattice: FiniteLattice, seed) -> LatticeProgression:
     """Grow a seed relation into the least progression containing it.
 
-    Alternates closing under the order on both sides with adding the pair
-    (join of pre-image, target) for every target; the relation only grows in
-    a finite space, so the loop reaches a fixpoint.
+    Adds everything the two conditions require until nothing is missing.
+    The relation only grows in a finite space, so the loop stops; and
+    progressions are closed under intersection, so the least one containing
+    the seed is unique and the order of the additions cannot change it.
     """
     m = lattice.size
-    rel = _as_order_matrix(m, seed)
-    order = Relation(m, lattice.leq)
+    rel = _as_relation(m, seed)
     while True:
-        new = rel | order.compose(Relation(m, rel)).compose(order).matrix
-        for b in range(m):
-            j = lattice.join_all(int(i) for i in np.nonzero(new[:, b])[0])
-            new[j, b] = True
-        if np.array_equal(new, rel):
-            break
+        closure, joins = _required(lattice, rel)
+        new = rel | closure | _as_relation(m, ((j, b) for b, j in enumerate(joins)))
+        if new == rel:
+            return LatticeProgression(lattice, rel)
         rel = new
-    return LatticeProgression(lattice, rel)
 
 
 @dataclass(frozen=True)
@@ -304,12 +302,19 @@ class LatticeChain:
             raise ValueError("stable_index must index the last stored chain element")
 
 
+def _same_lattice(lattice: FiniteLattice, progression: LatticeProgression) -> None:
+    if progression.lattice is not lattice and progression.lattice != lattice:
+        raise ValueError("progression was built on a different lattice")
+
+
 def z_chain(lattice: FiniteLattice, progression: LatticeProgression) -> LatticeChain:
     """Iterate join-of-pre-image from the top until it stabilizes."""
+    _same_lattice(lattice, progression)
+    s = progression.s_vector
     z = lattice.top
     zs = [z]
     while True:
-        nz = s_of(lattice, progression, z)
+        nz = s[z]
         if nz == z:
             break
         if not lattice.le(nz, z):
@@ -319,11 +324,6 @@ def z_chain(lattice: FiniteLattice, progression: LatticeProgression) -> LatticeC
     return LatticeChain(zs=tuple(zs), stable_index=len(zs) - 1)
 
 
-def s_of(lattice: FiniteLattice, progression: LatticeProgression, x: int) -> int:
-    """Join of the pre-image of x under the progression."""
-    return progression.s_vector[x]
-
-
 def companion_at(
     lattice: FiniteLattice,
     progression: LatticeProgression,
@@ -331,6 +331,7 @@ def companion_at(
     x: int,
 ) -> int:
     """Meet of all chain elements above x: the deepest stratum containing x."""
+    _same_lattice(lattice, progression)
     return lattice.meet_all(z for z in chain.zs if lattice.le(x, z))
 
 
@@ -343,10 +344,11 @@ def _function_row(lattice: FiniteLattice, f: Sequence[int]) -> np.ndarray:
     return np.asarray(f, dtype=np.intp).reshape(1, m)
 
 
-def _preserves(order: np.ndarray, funcs: np.ndarray) -> np.ndarray:
-    """Per row f: order[x, y] implies order[f[x], f[y]] for every x, y."""
-    image = order[funcs[:, :, None], funcs[:, None, :]]
-    return ~(order & ~image).any(axis=(1, 2))
+def _preserves(rel: Relation, funcs: np.ndarray) -> np.ndarray:
+    """Per row f: (x, y) in rel implies (f[x], f[y]) in rel, for every x, y."""
+    mat = rel.matrix
+    image = mat[funcs[:, :, None], funcs[:, None, :]]
+    return ~(mat & ~image).any(axis=(1, 2))
 
 
 def _compatible_rows(
@@ -357,14 +359,15 @@ def _compatible_rows(
 
 
 def is_monotone(lattice: FiniteLattice, f: Sequence[int]) -> bool:
-    return bool(_preserves(lattice.leq, _function_row(lattice, f))[0])
+    return bool(_preserves(lattice.order, _function_row(lattice, f))[0])
 
 
 def is_r_monotone(
     lattice: FiniteLattice, progression: LatticeProgression, f: Sequence[int]
 ) -> bool:
     """Monotone with respect to the intersection of the order and the progression."""
-    return bool(_preserves(lattice.leq & progression.rel, _function_row(lattice, f))[0])
+    _same_lattice(lattice, progression)
+    return bool(_preserves(lattice.order & progression.rel, _function_row(lattice, f))[0])
 
 
 def is_compatible(
@@ -375,6 +378,7 @@ def is_compatible(
     The notion is meant for monotone f; this checks just the pointwise
     inequality and leaves monotonicity to the caller.
     """
+    _same_lattice(lattice, progression)
     return bool(_compatible_rows(lattice, progression, _function_row(lattice, f))[0])
 
 
@@ -410,12 +414,13 @@ def brute_force_largest(
     """
     if mode not in ("r_monotone", "compatible"):
         raise ValueError(f"unknown mode {mode!r}")
+    _same_lattice(lattice, progression)
     funcs = _all_functions(lattice)
 
     def survivors(fs: np.ndarray) -> np.ndarray:
         if mode == "r_monotone":
-            return _preserves(lattice.leq & progression.rel, fs)
-        return _preserves(lattice.leq, fs) & _compatible_rows(lattice, progression, fs)
+            return _preserves(lattice.order & progression.rel, fs)
+        return _preserves(lattice.order, fs) & _compatible_rows(lattice, progression, fs)
 
     kept = funcs[survivors(funcs)]
     best = tuple(lattice.join_all(int(v) for v in np.unique(col)) for col in kept.T)
@@ -446,9 +451,10 @@ def classify_monotone_functions(
 
     Each example is the first such function in itertools.product order.
     """
+    _same_lattice(lattice, progression)
     funcs = _all_functions(lattice)
-    funcs = funcs[_preserves(lattice.leq, funcs)]
-    rm = _preserves(lattice.leq & progression.rel, funcs)
+    funcs = funcs[_preserves(lattice.order, funcs)]
+    rm = _preserves(lattice.order & progression.rel, funcs)
     comp = _compatible_rows(lattice, progression, funcs)
     rm_only = rm & ~comp
     comp_only = comp & ~rm
@@ -476,8 +482,7 @@ def chain_lattice(length: int) -> FiniteLattice:
     if length < 1:
         raise ValueError("chain needs at least one element")
     names = [f"c{i}" for i in range(length)]
-    leq = np.tril(np.ones((length, length), dtype=bool)).T
-    return validate_lattice(names, leq)
+    return validate_lattice(names, [(a, b) for a in range(length) for b in range(a, length)])
 
 
 def diamond_lattice() -> FiniteLattice:
@@ -488,16 +493,24 @@ def diamond_lattice() -> FiniteLattice:
     return validate_lattice(names, pairs)
 
 
+def _inclusion(n_bits: int) -> Relation:
+    """Inclusion on the subsets of n_bits bits, each subset given by its bitmask."""
+    m, rows = 1 << n_bits, []
+    for i in range(m):
+        row, j = 0, i
+        while j < m:  # j runs over the supersets of i in increasing order
+            row, j = row | 1 << j, (j + 1) | i
+        rows.append(row)
+    return Relation._from_rows(m, tuple(rows))
+
+
 def powerset_lattice(n_atoms: int) -> FiniteLattice:
     """Subsets of n_atoms atoms under inclusion."""
-    m = 1 << n_atoms
     names = []
-    for mask in range(m):
+    for mask in range(1 << n_atoms):
         inner = ",".join(chr(ord("a") + k) for k in range(n_atoms) if mask >> k & 1)
         names.append("{" + inner + "}")
-    idx = np.arange(m, dtype=np.int64)
-    leq = (idx[:, None] & ~idx[None, :]) == 0
-    return validate_lattice(names, leq)
+    return validate_lattice(names, _inclusion(n_atoms))
 
 
 def pentagon_lattice() -> FiniteLattice:
@@ -548,8 +561,9 @@ def lts_to_lattice(
     Element i is the relation whose member pairs are the set bits of i under
     row-major pair order.  The relation of the progression holds between X
     and S exactly when X progresses to S, that is when X lies below the
-    largest relation progressing to S.  Both progression conditions are
-    re-validated on the result.
+    largest relation progressing to S: column S of the progression is the
+    down-set of that relation.  Both progression conditions are re-validated
+    on the result.
     """
     if max_states > BRIDGE_STATE_CAP:
         raise ValueError(f"bridge construction is capped at {BRIDGE_STATE_CAP} states")
@@ -559,13 +573,11 @@ def lts_to_lattice(
     m = 1 << (n * n)
 
     names = [relation_element_name(n, mask) for mask in range(m)]
-    idx = np.arange(m, dtype=np.int64)
-    leq = (idx[:, None] & ~idx[None, :]) == 0
-    lattice = validate_lattice(names, leq)
-
-    rel = np.zeros((m, m), dtype=bool)
-    for s_mask in range(m):
-        ok = relation_element_index(largest_progressing_to(lts, element_relation(n, s_mask)))
-        rel[:, s_mask] = (idx & ~ok) == 0
-    progression = LatticeProgression(lattice, rel)
+    lattice = validate_lattice(names, _inclusion(n * n))
+    down = lattice.order.column_bits
+    columns = tuple(
+        down[relation_element_index(largest_progressing_to(lts, element_relation(n, s)))]
+        for s in range(m)
+    )
+    progression = LatticeProgression(lattice, Relation._from_rows(m, columns).converse())
     return lattice, progression

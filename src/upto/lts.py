@@ -124,7 +124,8 @@ class Lts:
 
 
 class Relation:
-    """A binary relation over the states of one LTS, stored as row bitsets.
+    """A binary relation on n points (the states of an LTS, or the elements
+    of a lattice), stored as row bitsets.
 
     Bit q of ``row_bits[p]`` is set iff (p, q) is in the relation; every
     operation works on these ints, and the matrix, pairs and column bitsets

@@ -4,13 +4,14 @@ Everything is driven by a caller-supplied random.Random so suites are
 reproducible bit for bit.  The progression sampler constructs (r, s) pairs
 that satisfy the respectfulness hypothesis by design: naive rejection
 sampling almost never finds a relation that progresses to a random superset.
+Random relations, on states or on lattice elements alike, come from
+``random_relation``: one draw per pair, row by row, straight into the
+row-bitset ints of a ``Relation``.
 """
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 from .lattice import FiniteLattice, LatticeProgression, close_to_progression
 from .lts import Lts, Relation
@@ -101,11 +102,5 @@ def progression_sample(
 def random_lattice_progression(
     rng: random.Random, lattice: FiniteLattice, density: float = 0.2
 ) -> LatticeProgression:
-    """Close a random seed relation into a valid progression."""
-    m = lattice.size
-    seed = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            if rng.random() < density:
-                seed[a, b] = True
-    return close_to_progression(lattice, seed)
+    """Close a random seed relation on the lattice's elements into a progression."""
+    return close_to_progression(lattice, random_relation(rng, lattice.size, density))

@@ -38,7 +38,6 @@ from .lattice import (
     pentagon_lattice,
     powerset_lattice,
     relation_element_index,
-    s_of,
     z_chain,
 )
 from .checker import CONTAINED, check_companion, check_upto
@@ -347,7 +346,7 @@ def _chain_step_related(suite: _Suite):
     for name, lat, prog in suite.progressions:
         zs = z_chain(lat, prog).zs
         for nxt, cur in [*zip(zs[1:], zs[:-1]), (zs[-1], zs[-1])]:
-            yield 1, None if prog.rel[nxt, cur] else f"on {name}"
+            yield 1, None if (nxt, cur) in prog.rel else f"on {name}"
 
 
 def _companion_monotone(suite: _Suite):
@@ -396,7 +395,7 @@ def _bridge_agreement(suite: _Suite):
             r = element_relation(lts.n_states, mask)
             ok = companion_at(lat, prog, chain, mask) == relation_element_index(lrf(seq, r))
             yield 2, None if ok else f"companion mismatch on {lts!r}"
-            ok = s_of(lat, prog, mask) == relation_element_index(largest_progressing_to(lts, r))
+            ok = prog.s_vector[mask] == relation_element_index(largest_progressing_to(lts, r))
             yield 0, None if ok else f"s mismatch on {lts!r}"
 
 

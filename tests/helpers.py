@@ -116,8 +116,8 @@ def all_relations(n):
 def _function_tests(lat, prog):
     """Pure-Python monotone, r-monotone and compatible tests for one function."""
     m = lat.size
-    le, rel = lat.le, prog.rel
-    s = [lat.join_all(a for a in range(m) if rel[a, b]) for b in range(m)]
+    le, rel = lat.le, set(prog.rel)
+    s = [lat.join_all(a for a in range(m) if (a, b) in rel) for b in range(m)]
     pairs = [(x, y) for x in range(m) for y in range(m)]
 
     def monotone(f):
@@ -125,7 +125,9 @@ def _function_tests(lat, prog):
 
     def r_monotone(f):
         return all(
-            le(f[x], f[y]) and rel[f[x], f[y]] for x, y in pairs if le(x, y) and rel[x, y]
+            le(f[x], f[y]) and (f[x], f[y]) in rel
+            for x, y in pairs
+            if le(x, y) and (x, y) in rel
         )
 
     def compatible(f):

@@ -29,7 +29,6 @@ from upto import (
     progress_holds,
     progresses_to,
     relation_element_index,
-    s_of,
     z_chain,
 )
 from upto.companion import check_lrf_largest
@@ -218,10 +217,10 @@ def test_criterion_8_bridge_recovers_relation_results():
                 assert companion_at(lat, prog, chain, mask) == relation_element_index(
                     lrf(seq, r)
                 )
-                assert s_of(lat, prog, mask) == relation_element_index(
+                assert prog.s_vector[mask] == relation_element_index(
                     largest_progressing_to(lts, r)
                 )
-                assert s_of(lat, prog, mask) == relation_element_index(
+                assert prog.s_vector[mask] == relation_element_index(
                     matrix_largest_progressing_to(lts, r)
                 )
 

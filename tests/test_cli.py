@@ -145,7 +145,69 @@ class TestGalleryCommand:
         assert "pass" in out
 
 
+PENTAGON_LEQ_JSON = (
+    '{"elements": ["bot", "a", "b", "c", "top"], "leq": ['
+    '["bot","bot"],["bot","a"],["bot","b"],["bot","c"],["bot","top"],'
+    '["a","a"],["a","c"],["a","top"],["b","b"],["b","top"],'
+    '["c","c"],["c","top"],["top","top"]]}'
+)
+CHAIN4_JSON = '{"elements": ["c0", "c1", "c2", "c3"], "cover": [["c0","c1"],["c1","c2"],["c2","c3"]]}'
+
+# (lattice, progression, full stdout); each progression file is the whole
+# progression, so parsing it leaves nothing for a closure to add
+LATTICE_COMPANION_RUNS = {
+    "diamond-cover-order": (
+        DIAMOND_JSON,
+        '{"pairs": [["bot", "bot"], ["bot", "x"], ["bot", "y"], ["bot", "top"], '
+        '["x", "x"], ["x", "top"], ["y", "y"], ["y", "top"], ["top", "top"]]}',
+        "z[0] = top\n"
+        "stable at index 0\n"
+        "companion(bot) = top\n"
+        "companion(x) = top\n"
+        "companion(y) = top\n"
+        "companion(top) = top\n",
+    ),
+    # s(top) = c, s(c) = a, s(a) = bot: a chain of length four that skips b
+    "pentagon-leq": (
+        PENTAGON_LEQ_JSON,
+        "bot bot\nbot a\nbot b\nbot c\nbot top\na c\na top\nc top\n",
+        "z[0] = top\n"
+        "z[1] = c\n"
+        "z[2] = a\n"
+        "z[3] = bot\n"
+        "stable at index 3\n"
+        "companion(bot) = bot\n"
+        "companion(a) = a\n"
+        "companion(b) = top\n"
+        "companion(c) = c\n"
+        "companion(top) = top\n",
+    ),
+    # s(c3) = c2 and s(c2) = c0, so c1 is sent up to c2
+    "chain4-cover": (
+        CHAIN4_JSON,
+        "c0 c0\nc0 c1\nc0 c2\nc0 c3\nc1 c3\nc2 c3\n",
+        "z[0] = c3\n"
+        "z[1] = c2\n"
+        "z[2] = c0\n"
+        "stable at index 2\n"
+        "companion(c0) = c0\n"
+        "companion(c1) = c2\n"
+        "companion(c2) = c2\n"
+        "companion(c3) = c3\n",
+    ),
+}
+
+
 class TestLatticeCompanionCommand:
+    @pytest.mark.parametrize("name", sorted(LATTICE_COMPANION_RUNS))
+    def test_full_output_is_pinned(self, capsys, tmp_path, name):
+        lattice, progression, expected = LATTICE_COMPANION_RUNS[name]
+        lat = tmp_path / "lat.json"
+        lat.write_text(lattice)
+        prog = tmp_path / "prog.rel"
+        prog.write_text(progression)
+        assert run_cli(capsys, "lattice-companion", str(lat), str(prog)) == (0, expected, "")
+
     def test_order_progression(self, capsys, tmp_path):
         lat = tmp_path / "lat.json"
         lat.write_text(DIAMOND_JSON)
@@ -260,15 +322,20 @@ class TestErrorsAndPlumbing:
         assert out.startswith("digraph lts {")
 
     def test_memory_error_is_input_error(self, capsys, t2_file, monkeypatch):
-        def too_large(lts):
-            raise MemoryError("Unable to allocate 400 GiB")
+        # numpy names the allocation; a bare MemoryError from the interpreter has no text
+        for error, reason in (
+            (MemoryError("Unable to allocate 400 GiB"), "Unable to allocate 400 GiB"),
+            (MemoryError(), "out of memory"),
+        ):
+            def too_large(lts):
+                raise error
 
-        monkeypatch.setattr("upto.cli.compute_strata", too_large)
-        code, out, err = run_cli(capsys, "bisim", t2_file)
-        assert code == 2
-        assert out == ""
-        assert err == "error: input too large: Unable to allocate 400 GiB\n"
-        assert "Traceback" not in err
+            monkeypatch.setattr("upto.cli.compute_strata", too_large)
+            code, out, err = run_cli(capsys, "bisim", t2_file)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: input too large: {reason}\n"
+            assert "Traceback" not in err
 
     def test_verify_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--samples", "30")

@@ -23,7 +23,6 @@ from upto import (
     lts_to_lattice,
     progresses_to,
     relation_element_index,
-    s_of,
     validate_lattice,
     z_chain,
 )
@@ -128,6 +127,61 @@ class TestValidateLattice:
         assert lat.meet_all(range(lat.size)) == lat.bottom
 
 
+class TestStorage:
+    def test_order_is_a_relation_and_leq_a_read_only_view(self):
+        for _name, lat in STANDARD_LATTICES:
+            assert isinstance(lat.order, Relation)
+            assert lat.leq.tolist() == lat.order.matrix.tolist()
+            assert not lat.leq.flags.writeable
+            for a in range(lat.size):
+                for b in range(lat.size):
+                    assert lat.le(a, b) == ((a, b) in lat.order)
+
+    def test_powerset_order_is_inclusion(self):
+        for n_atoms in range(5):
+            lat = powerset_lattice(n_atoms)
+            m = lat.size
+            expected = {(i, j) for i in range(m) for j in range(m) if i & ~j == 0}
+            assert set(lat.order) == expected
+
+    def test_progression_relation_is_a_relation(self):
+        lat = diamond_lattice()
+        for given in (lat.order, lat.leq, list(lat.order)):
+            prog = LatticeProgression(lat, given)
+            assert isinstance(prog.rel, Relation)
+            assert prog.rel == lat.order
+
+    def test_equal_lattices_built_twice(self):
+        assert chain_lattice(3) == chain_lattice(3)
+        assert hash(chain_lattice(3)) == hash(chain_lattice(3))
+        assert chain_lattice(3) != chain_lattice(4)
+        renamed = validate_lattice(["a", "b", "c"], chain_lattice(3).order)
+        assert renamed != chain_lattice(3)
+
+
+class TestProgressionOnAnotherLattice:
+    def test_rejected_by_every_function_taking_both(self):
+        diamond, chain4 = diamond_lattice(), chain_lattice(4)
+        prog = LatticeProgression(diamond, diamond.leq)
+        chain = z_chain(diamond, prog)
+        ident = tuple(range(4))
+        for call in (
+            lambda: z_chain(chain4, prog),
+            lambda: companion_at(chain4, prog, chain, 0),
+            lambda: is_r_monotone(chain4, prog, ident),
+            lambda: is_compatible(chain4, prog, ident),
+            lambda: brute_force_largest(chain4, prog, "r_monotone"),
+            lambda: brute_force_largest(chain4, prog, "compatible"),
+            lambda: classify_monotone_functions(chain4, prog),
+        ):
+            with pytest.raises(ValueError, match="different lattice"):
+                call()
+
+    def test_equal_lattice_built_again_accepted(self):
+        prog = leq_progression(chain_lattice(4))
+        assert z_chain(chain_lattice(4), prog).zs == (3,)
+
+
 class TestIsProgression:
     def test_full_relation_is_progression(self):
         lat = diamond_lattice()
@@ -159,18 +213,17 @@ class TestCloseToProgression:
     def test_empty_seed_on_two_chain(self):
         lat = chain_lattice(2)
         prog = close_to_progression(lat, np.zeros((2, 2), dtype=bool))
-        got = {(int(a), int(b)) for a, b in np.argwhere(prog.rel)}
-        assert got == {(0, 0), (0, 1)}
+        assert set(prog.rel) == {(0, 0), (0, 1)}
 
     def test_order_seed_unchanged(self):
         for lat in (chain_lattice(4), diamond_lattice(), m3_lattice()):
             prog = close_to_progression(lat, lat.leq)
-            assert np.array_equal(prog.rel, lat.leq)
+            assert prog.rel == lat.order
 
     def test_full_seed_unchanged(self):
         lat = diamond_lattice()
         prog = close_to_progression(lat, np.ones((4, 4), dtype=bool))
-        assert prog.rel.all()
+        assert prog.rel == Relation.full(4)
 
     def test_seed_always_contained(self):
         rng = random.Random(41)
@@ -182,7 +235,20 @@ class TestCloseToProgression:
                     seed[a, b] = rng.random() < 0.25
             prog = close_to_progression(lat, seed)
             assert is_progression(lat, prog.rel).holds
-            assert not (seed & ~prog.rel).any()
+            assert Relation(5, seed) <= prog.rel
+
+    @pytest.mark.parametrize("lat", [chain_lattice(2), chain_lattice(3)], ids=["chain2", "chain3"])
+    def test_least_progression_over_all_relations(self, lat):
+        # the closure against the intersection of every progression containing the seed
+        m = lat.size
+        everything = [element_relation(m, mask) for mask in range(1 << (m * m))]
+        progressions = [x for x in everything if is_progression(lat, x).holds]
+        for seed in everything:
+            least = Relation.full(m)
+            for p in progressions:
+                if seed <= p:
+                    least = least & p
+            assert close_to_progression(lat, seed).rel == least
 
 
 class TestChainAndCompanion:
@@ -215,8 +281,8 @@ class TestChainAndCompanion:
                 for k in range(chain.stable_index):
                     assert lat.le(chain.zs[k + 1], chain.zs[k])
                     assert chain.zs[k + 1] != chain.zs[k]
-                    assert prog.rel[chain.zs[k + 1], chain.zs[k]]
-                assert prog.rel[chain.zs[-1], chain.zs[-1]]
+                    assert (chain.zs[k + 1], chain.zs[k]) in prog.rel
+                assert (chain.zs[-1], chain.zs[-1]) in prog.rel
 
     def test_companion_equals_deepest_containing_stratum(self):
         rng = random.Random(45)
@@ -234,13 +300,13 @@ class TestFunctionClasses:
         lat = diamond_lattice()
         prog = leq_progression(lat)
         for x in range(4):
-            assert s_of(lat, prog, x) == x
+            assert prog.s_vector[x] == x
 
     def test_s_of_full_is_top(self):
         lat = diamond_lattice()
         prog = LatticeProgression(lat, np.ones((4, 4), dtype=bool))
         for x in range(4):
-            assert s_of(lat, prog, x) == lat.top
+            assert prog.s_vector[x] == lat.top
 
     def test_identity_in_both_classes(self):
         rng = random.Random(51)
@@ -267,7 +333,7 @@ class TestFunctionClasses:
         const_top = tuple([lat.top] * lat.size)
         for _ in range(20):
             prog = random_lattice_progression(rng, lat)
-            expected = s_of(lat, prog, lat.top) == lat.top
+            expected = prog.s_vector[lat.top] == lat.top
             assert is_compatible(lat, prog, const_top) == expected
 
     def test_classification_is_report_only_but_consistent(self):
@@ -392,7 +458,7 @@ class TestBridge:
         lts = Lts(["s"], [])
         lat, prog = lts_to_lattice(lts)
         assert lat.size == 2
-        assert prog.rel.all()  # everything progresses to everything here
+        assert prog.rel == Relation.full(2)  # everything progresses to everything here
 
     def test_element_indexing_round_trip(self):
         for n in (1, 2):
@@ -416,7 +482,7 @@ class TestBridge:
             expected = progresses_to(
                 t2, element_relation(3, x_mask), element_relation(3, s_mask)
             ).holds
-            assert bool(prog.rel[x_mask, s_mask]) == expected
+            assert ((x_mask, s_mask) in prog.rel) == expected
 
     def test_t2_companion_and_s_agree_with_relation_route(self, t2):
         lat, prog = lts_to_lattice(t2)
@@ -430,10 +496,10 @@ class TestBridge:
             assert companion_at(lat, prog, chain, mask) == relation_element_index(
                 lrf(seq, r)
             )
-            assert s_of(lat, prog, mask) == relation_element_index(
+            assert prog.s_vector[mask] == relation_element_index(
                 largest_progressing_to(t2, r)
             )
-            assert s_of(lat, prog, mask) == relation_element_index(
+            assert prog.s_vector[mask] == relation_element_index(
                 matrix_largest_progressing_to(t2, r)
             )
 
