@@ -12,10 +12,10 @@ Every relation on lattice elements is a row-bitset ``Relation`` of ``lts``:
 the order of a ``FiniteLattice`` (row i is the up-set of i, column i its
 down-set) and the relation of a ``LatticeProgression``; joins and meets are
 int tables.  Checking a progression and closing a seed into one share one
-step, the pairs both conditions require.  Only the enumeration uses numpy:
-every function is a row of one int array, and each predicate tests all rows
-at once against boolean matrix views of the relations (index arrays of at
-most 3125 x 5 x 5 at the enumeration cap); one function is the one-row case.
+step, the pairs both conditions require.  The enumeration builds only the
+functions preserving a relation: it picks each value in turn among those
+that the relation's rows and columns at the earlier points allow.  The
+library uses no numpy; ``FiniteLattice.leq`` is a numpy view on request.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .lts import Lts, Relation, largest_progressing_to
 
@@ -62,8 +60,8 @@ class FiniteLattice:
         return len(self.elements)
 
     @property
-    def leq(self) -> np.ndarray:
-        """The order as a read-only m x m boolean array, built on each request."""
+    def leq(self):
+        """The order as a read-only m x m numpy boolean array, built on each request."""
         return self.order.matrix
 
     def index(self, name: str) -> int:
@@ -335,31 +333,27 @@ def companion_at(
     return lattice.meet_all(z for z in chain.zs if lattice.le(x, z))
 
 
-def _function_row(lattice: FiniteLattice, f: Sequence[int]) -> np.ndarray:
+def _function_row(lattice: FiniteLattice, f: Sequence[int]) -> tuple[int, ...]:
     m = lattice.size
     if len(f) != m or not all(v in range(m) for v in f):
         raise ValueError(
             f"function must list {m} elements, each in range({m}); got {tuple(f)!r}"
         )
-    return np.asarray(f, dtype=np.intp).reshape(1, m)
+    return tuple(int(v) for v in f)
 
 
-def _preserves(rel: Relation, funcs: np.ndarray) -> np.ndarray:
-    """Per row f: (x, y) in rel implies (f[x], f[y]) in rel, for every x, y."""
-    mat = rel.matrix
-    image = mat[funcs[:, :, None], funcs[:, None, :]]
-    return ~(mat & ~image).any(axis=(1, 2))
+def _preserves(rel: Relation, f: Sequence[int]) -> bool:
+    """(x, y) in rel implies (f[x], f[y]) in rel, tested pair by pair."""
+    rows = rel.row_bits
+    return all(rows[f[x]] >> f[y] & 1 for x, y in rel.pairs)
 
 
-def _compatible_rows(
-    lattice: FiniteLattice, progression: LatticeProgression, funcs: np.ndarray
-) -> np.ndarray:
-    s = np.asarray(progression.s_vector, dtype=np.intp)
-    return lattice.leq[funcs[:, s], s[funcs]].all(axis=1)
+def _compatible(lattice: FiniteLattice, s: Sequence[int], f: Sequence[int]) -> bool:
+    return all(lattice.le(f[s[x]], s[f[x]]) for x in range(lattice.size))
 
 
 def is_monotone(lattice: FiniteLattice, f: Sequence[int]) -> bool:
-    return bool(_preserves(lattice.order, _function_row(lattice, f))[0])
+    return _preserves(lattice.order, _function_row(lattice, f))
 
 
 def is_r_monotone(
@@ -367,7 +361,7 @@ def is_r_monotone(
 ) -> bool:
     """Monotone with respect to the intersection of the order and the progression."""
     _same_lattice(lattice, progression)
-    return bool(_preserves(lattice.order & progression.rel, _function_row(lattice, f))[0])
+    return _preserves(lattice.order & progression.rel, _function_row(lattice, f))
 
 
 def is_compatible(
@@ -379,52 +373,57 @@ def is_compatible(
     inequality and leaves monotonicity to the caller.
     """
     _same_lattice(lattice, progression)
-    return bool(_compatible_rows(lattice, progression, _function_row(lattice, f))[0])
+    return _compatible(lattice, progression.s_vector, _function_row(lattice, f))
 
 
 ENUMERATION_CAP = 5
 
 
-def _all_functions(lattice: FiniteLattice) -> np.ndarray:
-    """Every endofunction of the lattice as a row of an (m**m, m) array.
+def _preserving(lattice: FiniteLattice, rel: Relation) -> list[tuple[int, ...]]:
+    """Every endofunction f preserving rel, in itertools.product order.
 
-    Rows come in itertools.product order, so the first matching row is the
-    first matching tuple of a product walk.
+    f[i] is picked after f[0..i-1] among the values v keeping (i, i) and each
+    pair of i and an earlier j inside rel: (j, i) in rel asks for v in row
+    f[j], (i, j) for v in column f[j].
     """
     m = lattice.size
     if m > ENUMERATION_CAP:
-        raise ValueError(
-            f"lattice has {m} elements; enumeration is capped at {ENUMERATION_CAP}"
-        )
-    return np.indices((m,) * m).reshape(m, -1).T
+        raise ValueError(f"lattice has {m} elements; enumeration is capped at {ENUMERATION_CAP}")
+    rows, cols = rel.row_bits, rel.column_bits
+    loops = sum(1 << v for v in range(m) if rows[v] >> v & 1)
+    funcs: list[tuple[int, ...]] = [()]
+    for i in range(m):
+        needs = [(rows, j) for j in range(i) if rows[j] >> i & 1]
+        needs += [(cols, j) for j in range(i) if rows[i] >> j & 1]
+        start = loops if rows[i] >> i & 1 else (1 << m) - 1
+        grown = []
+        for f in funcs:
+            allowed = start
+            for bits, j in needs:
+                allowed &= bits[f[j]]
+            grown.extend(f + (v,) for v in range(m) if allowed >> v & 1)
+        funcs = grown
+    return funcs
 
 
 def brute_force_largest(
     lattice: FiniteLattice, progression: LatticeProgression, mode: str
 ) -> tuple[int, ...]:
-    """Pointwise join of every surviving endofunction, by full enumeration.
+    """Pointwise join of every surviving endofunction, by enumeration.
 
     mode "r_monotone" keeps functions monotone with respect to the order
     intersected with the progression; mode "compatible" keeps monotone
-    functions satisfying the compatibility inequality.  All m**m functions
-    are filtered in one batched pass (index arrays of at most 3125 x 5 x 5),
-    and the join at each point is the join of the distinct surviving values
-    there.  The join itself must survive the same filter, which is
-    re-checked before returning.
+    functions satisfying the compatibility inequality.  The join itself
+    must survive the same filter, which is re-checked before returning.
     """
     if mode not in ("r_monotone", "compatible"):
         raise ValueError(f"unknown mode {mode!r}")
     _same_lattice(lattice, progression)
-    funcs = _all_functions(lattice)
-
-    def survivors(fs: np.ndarray) -> np.ndarray:
-        if mode == "r_monotone":
-            return _preserves(lattice.order & progression.rel, fs)
-        return _preserves(lattice.order, fs) & _compatible_rows(lattice, progression, fs)
-
-    kept = funcs[survivors(funcs)]
-    best = tuple(lattice.join_all(int(v) for v in np.unique(col)) for col in kept.T)
-    if not survivors(_function_row(lattice, best))[0]:
+    r_monotone, s = mode == "r_monotone", progression.s_vector
+    rel = lattice.order & progression.rel if r_monotone else lattice.order
+    kept = [f for f in _preserving(lattice, rel) if r_monotone or _compatible(lattice, s, f)]
+    best = tuple(lattice.join_all(set(col)) for col in zip(*kept))
+    if not _preserves(rel, best) or not (r_monotone or _compatible(lattice, s, best)):
         raise RuntimeError(
             f"pointwise join of {mode} survivors is not itself {mode}; closure failed"
         )
@@ -452,25 +451,21 @@ def classify_monotone_functions(
     Each example is the first such function in itertools.product order.
     """
     _same_lattice(lattice, progression)
-    funcs = _all_functions(lattice)
-    funcs = funcs[_preserves(lattice.order, funcs)]
-    rm = _preserves(lattice.order & progression.rel, funcs)
-    comp = _compatible_rows(lattice, progression, funcs)
-    rm_only = rm & ~comp
-    comp_only = comp & ~rm
-
-    def first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
-        hits = np.flatnonzero(mask)
-        return tuple(int(v) for v in funcs[hits[0]]) if hits.size else None
-
+    funcs = _preserving(lattice, lattice.order)
+    rel, s = lattice.order & progression.rel, progression.s_vector
+    rm = [f for f in funcs if _preserves(rel, f)]
+    comp = [f for f in funcs if _compatible(lattice, s, f)]
+    rm_set, comp_set = set(rm), set(comp)
+    rm_only = [f for f in rm if f not in comp_set]
+    comp_only = [f for f in comp if f not in rm_set]
     return MonotoneClassification(
         len(funcs),
-        int(rm.sum()),
-        int(comp.sum()),
-        int(rm_only.sum()),
-        int(comp_only.sum()),
-        first(rm_only),
-        first(comp_only),
+        len(rm),
+        len(comp),
+        len(rm_only),
+        len(comp_only),
+        rm_only[0] if rm_only else None,
+        comp_only[0] if comp_only else None,
     )
 
 

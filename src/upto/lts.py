@@ -12,7 +12,8 @@ single pair, it gives the largest relation progressing to a target, since
 such relations are closed under union.  No matrix product is involved.
 
 A relation is one int per state: bit q of ``Relation.row_bits[p]`` is set
-iff (p, q) is in it; its n x n boolean matrix is only a view on request.
+iff (p, q) is in it.  Its n x n numpy boolean matrix is only a view on
+request, and ``Relation(n, matrix)`` reads one; only these two load numpy.
 The generator tests each move with one AND of a row (or column) of the
 target and a successor bitset (bit q of ``Lts._successor_bits()[p][a]`` is
 set when p has an a-move to q).  Columns are built when a right move first
@@ -26,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_, index, or_
 from typing import Iterable, Iterator
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -135,15 +134,15 @@ class Relation:
 
     __slots__ = ("n_states", "row_bits", "_cols", "_pairs")
 
-    def __init__(self, n_states: int, matrix: np.ndarray):
+    def __init__(self, n_states: int, matrix):
+        import numpy as np
+
         mat = np.asarray(matrix, dtype=bool)
         if mat.shape != (n_states, n_states):
             raise ValueError(f"matrix shape {mat.shape} does not match {n_states} states")
         # row p as an int, column k at bit k
         packed = np.packbits(mat, axis=1, bitorder="little")
-        data, width = packed.tobytes(), max(packed.shape[1], 1)
-        starts = range(0, len(data), width)
-        rows = tuple(int.from_bytes(data[i : i + width], "little") for i in starts)
+        rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
         self._set(n_states, rows, None)
 
     def _set(self, n_states: int, rows: tuple[int, ...], cols) -> "Relation":
@@ -191,8 +190,10 @@ class Relation:
     # views
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The relation as a read-only n x n boolean array, built on each request."""
+    def matrix(self):
+        """The relation as a read-only n x n numpy boolean array, built on each request."""
+        import numpy as np
+
         n = self.n_states
         width = (n + 7) // 8
         data = b"".join(row.to_bytes(width, "little") for row in self.row_bits)

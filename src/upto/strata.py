@@ -5,38 +5,36 @@ progressing to the previous one.  On a finite system the chain is strictly
 decreasing until it stabilizes, and the stable relation is bisimilarity.
 
 Every stratum is an equivalence, so the chain is a sequence of ever finer
-partitions and is stored as one row of block ids per stratum.  It is built
-by signature refinement: state p stays with its block-mates in round k when
-their sets of (label, block of target) pairs over the round k-1 partition
-agree, so round k yields exactly stratum k.  Rounds are incremental.  When a
-block splits, its largest piece keeps the old id and only the states of the
-other pieces move; per-(state, label, block) successor counts then tell each
-predecessor of a moved state exactly which (label, block) pairs its signature
-gained or lost.  A state whose signature changed is regrouped by its old
-block and that change, which determines its new signature exactly because
-block-mates shared the old one.  A state moves only into a piece at most
-half the size of its block, so it moves O(log n) times and the whole chain
-costs O(m log n) dictionary operations for m transitions, plus O(n) per
-round to record the row; memory is O(m + epsilon * n).  A stratum becomes a
-Relation when asked for: one row bitset per block, also serving as columns.
+partitions, built by signature refinement: state p stays with its
+block-mates in round k when their sets of (label, block of target) pairs
+over the round k-1 partition agree, so round k yields exactly stratum k.
+Rounds are incremental.  When a block splits, its largest piece keeps the
+old id and only the states of the other pieces move; per-(state, label,
+block) successor counts then tell each predecessor of a moved state exactly
+which (label, block) pairs its signature gained or lost.  A state whose
+signature changed is regrouped by its old block and that change, which
+determines its new signature exactly because block-mates shared the old one.
+A state moves only into a piece at most half the size of its block, so it
+moves O(log n) times: the chain costs O(m log n) dictionary operations for
+m transitions, and is stored as the log of moves in O(m + n log n) memory,
+without numpy.  A row of block ids is rebuilt by replaying the log, and a
+stratum becomes a Relation when asked for: one row bitset per block.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .lts import Lts, Relation
 
+Moves = tuple[tuple[int, int], ...]
 
-def _canonical(row: np.ndarray) -> np.ndarray:
+
+def _canonical(row: Sequence[int]) -> tuple[int, ...]:
     """Renumber block ids in order of first occurrence, so equal partitions
     get equal rows."""
-    _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-    return rank[inverse.reshape(-1)]
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(b, len(first)) for b in row)
 
 
 def _block_rows(ids: Sequence[int]) -> tuple[int, ...]:
@@ -55,16 +53,37 @@ def _blocks_of(r: Relation, k: int) -> list[int]:
     return ids
 
 
+def _check_log(n: int, log: Sequence[Moves]) -> None:
+    """Reject a round whose moves do not make its partition strictly finer.
+
+    Row k refines row k - 1 iff each block that states move into is empty
+    once the round's movers have left it, and all states moved into one
+    block come from one block; it is strictly finer iff it has more blocks.
+    """
+    row, size = [0] * n, [n] + [0] * (n - 1)
+    for k, moves in enumerate(log, 1):
+        for p, _ in moves:
+            size[row[p]] -= 1
+        source: dict[int, int] = {}
+        mixed = any(size[b] or source.setdefault(b, row[p]) != row[p] for p, b in moves)
+        emptied = {row[p] for p, _ in moves if not size[row[p]]}
+        if mixed or len(source) <= len(emptied):
+            raise ValueError(f"stratum {k} must be strictly below stratum {k - 1}")
+        for p, b in moves:
+            row[p] = b
+            size[b] += 1
+
+
 class StrataSequence:
     """The chain of strata for one LTS, indices 0..epsilon inclusive.
 
-    Stored as an (epsilon + 1) x n array of block ids (``blocks``), row k
-    holding the partition of stratum k.  epsilon is the least index where the
-    chain stabilizes.  The constructor also accepts the chain as a sequence of
-    equivalence relations; ``from_blocks`` takes the rows directly.
+    Stored as a log: round k lists (state, new block id) for each state whose
+    id changes from row k - 1 to row k, and row 0 is all zeros.  epsilon is
+    the least index where the chain stabilizes.  The constructor also accepts
+    equivalence relations; ``from_blocks`` takes rows of block ids.
     """
 
-    __slots__ = ("lts", "epsilon", "blocks", "_relations")
+    __slots__ = ("lts", "epsilon", "_log", "_rows", "_relations")
 
     def __init__(self, lts: Lts, strata: Sequence[Relation], epsilon: int):
         if epsilon != len(strata) - 1:
@@ -72,37 +91,35 @@ class StrataSequence:
         for r in strata:
             if r.n_states != lts.n_states:
                 raise ValueError("stratum dimensions do not match the LTS")
-        rows = np.array([_blocks_of(r, k) for k, r in enumerate(strata)], dtype=np.int64)
-        self._set(lts, rows.reshape(len(strata), lts.n_states))
+        self._set_rows(lts, [_blocks_of(r, k) for k, r in enumerate(strata)])
 
     @classmethod
-    def from_blocks(cls, lts: Lts, blocks: np.ndarray) -> "StrataSequence":
-        seq = cls.__new__(cls)
-        seq._set(lts, np.asarray(blocks, dtype=np.int64))
-        return seq
+    def from_blocks(cls, lts: Lts, blocks: Sequence[Sequence[int]]) -> "StrataSequence":
+        """The chain whose row k gives the block id of each state in stratum k."""
+        return cls.__new__(cls)._set_rows(lts, blocks)
 
-    def _set(self, lts: Lts, rows: np.ndarray) -> None:
+    def _set_rows(self, lts: Lts, rows: Sequence[Sequence[int]]) -> "StrataSequence":
         n = lts.n_states
-        if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != n:
-            raise ValueError(f"block rows of shape {rows.shape} do not fit {n} states")
-        rows = np.array([_canonical(row) for row in rows], dtype=np.int64).reshape(rows.shape)
-        if rows[0].any():
+        rows = [_canonical(row) for row in rows]
+        if not rows or any(len(row) != n for row in rows):
+            raise ValueError(f"block rows do not fit {n} states")
+        if any(rows[0]):
             raise ValueError("stratum 0 must be the full relation")
-        counts = [int(row.max(initial=-1)) + 1 for row in rows]
-        for k in range(len(rows) - 1):
-            # row k+1 refines row k iff each of its blocks sits in one block of row k
-            parent = np.empty(counts[k + 1], dtype=np.int64)
-            parent[rows[k + 1]] = rows[k]
-            if counts[k + 1] == counts[k] or not np.array_equal(parent[rows[k + 1]], rows[k]):
-                raise ValueError(f"stratum {k + 1} must be strictly below stratum {k}")
-        epsilon = len(rows) - 1
-        if epsilon > n * n:
-            raise ValueError("chain longer than the n^2 pigeonhole bound")
-        rows.flags.writeable = False
+        log = [
+            tuple((p, b) for p, (a, b) in enumerate(zip(prev, row)) if a != b)
+            for prev, row in zip(rows, rows[1:])
+        ]
+        return self._set(lts, log)
+
+    def _set(self, lts: Lts, log: Sequence[Moves]) -> "StrataSequence":
+        _check_log(lts.n_states, log)
+        epsilon = len(log)
         object.__setattr__(self, "lts", lts)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "blocks", rows)
+        object.__setattr__(self, "_log", tuple(log))
+        object.__setattr__(self, "_rows", [(0,) * lts.n_states] + [None] * epsilon)
         object.__setattr__(self, "_relations", [None] * (epsilon + 1))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("StrataSequence is immutable")
@@ -110,13 +127,32 @@ class StrataSequence:
     def __eq__(self, other):
         if not isinstance(other, StrataSequence):
             return NotImplemented
-        return self.lts == other.lts and np.array_equal(self.blocks, other.blocks)
+        return self.lts == other.lts and self.blocks == other.blocks
 
     def __hash__(self):
-        return hash((self.lts, self.blocks.tobytes()))
+        return hash((self.lts, self.epsilon))
 
     def __repr__(self):
         return f"StrataSequence({self.lts!r}, epsilon={self.epsilon})"
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Every row of block ids, numbered in order of first occurrence."""
+        return tuple(_canonical(self._row(k)) for k in range(self.epsilon + 1))
+
+    def _row(self, k: int) -> tuple[int, ...]:
+        """The block ids of stratum k, replayed from the nearest kept row below."""
+        rows = self._rows
+        if rows[k] is None:
+            j = k
+            while rows[j] is None:
+                j -= 1
+            row = list(rows[j])
+            for moves in self._log[j:k]:
+                for p, b in moves:
+                    row[p] = b
+            rows[k] = tuple(row)
+        return rows[k]
 
     @property
     def strata(self) -> tuple[Relation, ...]:
@@ -129,7 +165,7 @@ class StrataSequence:
             raise ValueError("stratum index must be non-negative")
         k = min(k, self.epsilon)
         if self._relations[k] is None:
-            rows = _block_rows(self.blocks[k].tolist())
+            rows = _block_rows(self._row(k))
             self._relations[k] = Relation._from_rows(self.lts.n_states, rows, rows)
         return self._relations[k]
 
@@ -151,7 +187,7 @@ class StrataSequence:
         lo, hi = 0, self.epsilon  # r lies inside stratum lo
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            row = self.blocks[mid].tolist()
+            row = self._row(mid)
             if any(row[p] != row[q] for p, q in pairs):
                 hi = mid - 1
             else:
@@ -182,7 +218,7 @@ def compute_strata(lts: Lts) -> StrataSequence:
     block = [0] * n
     elems, loc = list(range(n)), list(range(n))
     start, end = [0], [n]
-    rows = [np.zeros(n, dtype=np.int64)]
+    log: list[Moves] = []
     # every state enters block 0 from no block, so round 1 sees each state's
     # whole signature as gained
     moved = [(q, -1, 0) for q in range(n)]
@@ -251,8 +287,8 @@ def compute_strata(lts: Lts) -> StrataSequence:
             break
         for p, _, fresh in moved:
             block[p] = fresh
-        rows.append(np.array(block, dtype=np.int64))
-    return StrataSequence.from_blocks(lts, np.stack(rows))
+        log.append(tuple((p, fresh) for p, _, fresh in moved))
+    return StrataSequence.__new__(StrataSequence)._set(lts, log)
 
 
 def stratum(seq: StrataSequence, k: int) -> Relation:

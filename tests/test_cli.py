@@ -381,6 +381,46 @@ class TestErrorsAndPlumbing:
         assert lines[-1] == f"result: 27 checks, {27 - n_failed} passed, {n_failed} failed"
 
 
+# runs upto.cli.main(argv) in an interpreter where importing numpy fails
+WITHOUT_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "import upto.cli\n"
+    "sys.exit(upto.cli.main(sys.argv[1:]))\n"
+)
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strata", "{t2}"],
+            ["bisim", "{t2}"],
+            ["companion", "{t2}", "{rel}"],
+            ["check-upto", "{t2}", "{rel}", "--fn", "lrf"],
+            ["check-upto", "{t2}", "{rel}", "--fn", "upto_bisim"],
+            ["gallery", "3"],
+            ["gallery", "3", "--verify"],
+            ["lattice-companion", "{lattice}", "{progression}"],
+            ["verify", "--samples", "50"],
+            ["export-dot", "{t2}"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
+    )
+    def test_command_needs_no_numpy(self, capsys, tmp_path, argv):
+        lattice, progression, _ = LATTICE_COMPANION_RUNS["pentagon-leq"]
+        files = {"t2": T2_AUT, "rel": "1 2\n", "lattice": lattice, "progression": progression}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        blocked = subprocess.run(
+            [sys.executable, "-c", WITHOUT_NUMPY, *argv], capture_output=True, text=True
+        )
+        assert "Traceback" not in blocked.stderr, blocked.stderr
+        assert (blocked.returncode, blocked.stdout) == (code, out)
+
+
 class TestPipelines:
     def test_gallery_into_strata_via_stdin(self):
         gallery = subprocess.run(

@@ -27,6 +27,7 @@ from upto import (
     z_chain,
 )
 from upto.lattice import (
+    _preserving,
     chain_lattice,
     classify_monotone_functions,
     diamond_lattice,
@@ -36,7 +37,12 @@ from upto.lattice import (
 )
 from upto.sampling import random_lattice_progression
 
-from helpers import enumerated_classification, enumerated_largest, matrix_largest_progressing_to
+from helpers import (
+    _function_tests,
+    enumerated_classification,
+    enumerated_largest,
+    matrix_largest_progressing_to,
+)
 
 STANDARD_LATTICES = (
     ("chain2", chain_lattice(2)),
@@ -349,7 +355,7 @@ class TestFunctionClasses:
 
 
 class TestFunctionArgument:
-    # numpy indexing would wrap negative entries around rather than fail
+    # indexing a tuple with a negative entry would count from its end rather than fail
     @pytest.mark.parametrize("f", [(-1, -1), (0, 2), (2, 0), (), (0,), (0, 1, 1)])
     def test_function_outside_the_lattice_rejected(self, f):
         lat = chain_lattice(2)
@@ -372,7 +378,17 @@ class TestFunctionArgument:
 
 
 class TestBatchedEnumerationMatchesWalk:
-    """The batched predicates against a per-function itertools.product walk."""
+    """The enumeration and predicates against a per-function itertools.product walk."""
+
+    @pytest.mark.parametrize("name, lat", STANDARD_LATTICES, ids=[n for n, _ in STANDARD_LATTICES])
+    def test_preserving_is_the_product_filter(self, name, lat):
+        rng = random.Random(f"preserving-{name}")
+        everything = list(itertools.product(range(lat.size), repeat=lat.size))
+        for _ in range(3):
+            prog = random_lattice_progression(rng, lat, rng.uniform(0.05, 0.4))
+            monotone, r_monotone, _ = _function_tests(lat, prog)
+            assert _preserving(lat, lat.order) == [f for f in everything if monotone(f)]
+            assert _preserving(lat, lat.order & prog.rel) == [f for f in everything if r_monotone(f)]
 
     @pytest.mark.parametrize("name, lat", STANDARD_LATTICES, ids=[n for n, _ in STANDARD_LATTICES])
     def test_largest_and_classification(self, name, lat):

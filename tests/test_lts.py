@@ -266,7 +266,7 @@ def _kernel_targets(seed, n):
 
 def _bisimilarity_with_matrix(lts):
     seq = compute_strata(lts)
-    ids = seq.blocks[seq.epsilon]
+    ids = np.asarray(seq.blocks[seq.epsilon])
     return seq.bisimilarity(), ids[:, None] == ids[None, :]
 
 

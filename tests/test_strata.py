@@ -79,6 +79,52 @@ class TestSequenceValidation:
         assert StrataSequence(t2, seq.strata, seq.epsilon) == seq
         assert StrataSequence.from_blocks(t2, seq.blocks) == seq
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # state 1 moves into block 1, which still holds state 2
+            [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 1, 2]],
+            # states 2 and 3 move into the empty block 2 from blocks 0 and 1
+            [[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 2, 2]],
+            # round 2 adds no block
+            [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
+        ],
+        ids=["occupied-target", "merged-sources", "no-new-block"],
+    )
+    def test_log_check_rejects_rows_that_do_not_split(self, rows):
+        lts = Lts([str(i) for i in range(4)], [])
+        with pytest.raises(ValueError, match="strictly below stratum 1"):
+            StrataSequence.from_blocks(lts, rows)
+        assert StrataSequence.from_blocks(lts, rows[:2]).epsilon == 1
+
+
+def path(n):
+    """States 0 -a-> 1 -a-> ... -a-> n-1: epsilon is n - 1, one state moving per round."""
+    return Lts([str(i) for i in range(n)], [(i, "a", i + 1) for i in range(n - 1)])
+
+
+class TestMoveLog:
+    def test_long_path_stays_small(self):
+        # one row of block ids per stratum would be 3000 x 3000 ids
+        lts = path(3000)
+        tracemalloc.start()
+        try:
+            seq = compute_strata(lts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert seq.epsilon == 2999
+        assert seq.bisimilarity() == Relation.identity(3000)
+        assert seq.depth(Relation.from_pairs(3000, [(0, 1)])) == 2998
+
+    def test_rows_round_trip(self):
+        # canonical rows of a path renumber O(n^2) ids, so the path is short
+        lts = path(300)
+        seq = compute_strata(lts)
+        assert StrataSequence.from_blocks(lts, seq.blocks) == seq
+        assert all(type(row) is tuple for row in seq.blocks)
+
 
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
