@@ -60,7 +60,7 @@ from .lts import (
     progress_holds,
     progresses_to,
 )
-from .strata import StrataSequence, bisimilarity, compute_strata, stratum
+from .strata import StrataSequence, compute_strata
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"

@@ -47,8 +47,9 @@ def _read(path: str) -> str:
 def _cmd_strata(args) -> int:
     lts = parse_aut(_read(args.lts))
     seq = compute_strata(lts)
-    for k, stratum in enumerate(seq.strata):
-        print(f"~{k} = {render_relation(stratum, lts.state_names)}")
+    # stratum 0 is the largest, so one past the render limit fails first
+    for k in range(seq.epsilon + 1):
+        print(f"~{k} = {render_relation(seq.stratum(k), lts.state_names)}")
     print(f"epsilon = {seq.epsilon}")
     return OK
 

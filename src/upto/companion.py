@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .lts import Lts, ProgressDiagnosis, Relation, progresses_to
+from .lts import Lts, ProgressDiagnosis, Relation, progress_holds, progresses_to
 from .strata import StrataSequence
 
 
@@ -139,7 +139,7 @@ def is_respectful_on_samples(
     lts = f.lts
     checked = skipped = 0
     for r, s in samples:
-        if not (r.is_subset(s) and progresses_to(lts, r, s).holds):
+        if not (r.is_subset(s) and progress_holds(lts, r, s)):
             skipped += 1
             continue
         checked += 1

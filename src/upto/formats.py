@@ -35,6 +35,8 @@ class LatticeParseError(ValueError):
 # re.ASCII: \d would also match other scripts' digits, which int() accepts
 _HEADER_RE = re.compile(r"^des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$", re.ASCII)
 _EDGE_RE = re.compile(r"^\(\s*(\d+)\s*,\s*\"(.*)\"\s*,\s*(\d+)\s*\)\s*$", re.ASCII)
+# pairs per rendered relation: 10**6 pairs of 3-digit names print about 11 MB
+MAX_RENDERED_PAIRS = 10**6
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,9 @@ def parse_relation(text: str, lts: Lts) -> Relation:
 
 
 def render_relation(r: Relation, names: Optional[tuple[str, ...]] = None) -> str:
+    # len(r) is a popcount, so an oversized relation builds none of its pairs
+    if len(r) > MAX_RENDERED_PAIRS:
+        raise ValueError(f"relation has {len(r)} pairs; at most {MAX_RENDERED_PAIRS} are rendered")
     names = range(r.n_states) if names is None else names
     return "{" + ", ".join(f"({names[p]},{names[q]})" for p, q in r.pairs) + "}"
 

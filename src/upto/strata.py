@@ -16,18 +16,17 @@ signature changed is regrouped by its old block and that change, which
 determines its new signature exactly because block-mates shared the old one.
 A state moves only into a piece at most half the size of its block, so it
 moves O(log n) times: the chain costs O(m log n) dictionary operations for
-m transitions, and is stored as the log of moves in O(m + n log n) memory,
-without numpy.  A row of block ids is rebuilt by replaying the log, and a
-stratum becomes a Relation when asked for: one row bitset per block.
+m transitions, without numpy.  Nested partitions form a tree, and the chain
+is stored as that tree in O(n) memory; a stratum becomes a Relation when
+asked for: one row bitset per block.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .lts import Lts, Relation
-
-Moves = tuple[tuple[int, int], ...]
 
 
 def _canonical(row: Sequence[int]) -> tuple[int, ...]:
@@ -53,37 +52,36 @@ def _blocks_of(r: Relation, k: int) -> list[int]:
     return ids
 
 
-def _check_log(n: int, log: Sequence[Moves]) -> None:
-    """Reject a round whose moves do not make its partition strictly finer.
-
-    Row k refines row k - 1 iff each block that states move into is empty
-    once the round's movers have left it, and all states moved into one
-    block come from one block; it is strictly finer iff it has more blocks.
-    """
-    row, size = [0] * n, [n] + [0] * (n - 1)
-    for k, moves in enumerate(log, 1):
-        for p, _ in moves:
-            size[row[p]] -= 1
-        source: dict[int, int] = {}
-        mixed = any(size[b] or source.setdefault(b, row[p]) != row[p] for p, b in moves)
-        emptied = {row[p] for p, _ in moves if not size[row[p]]}
-        if mixed or len(source) <= len(emptied):
-            raise ValueError(f"stratum {k} must be strictly below stratum {k - 1}")
-        for p, b in moves:
-            row[p] = b
-            size[b] += 1
+def _check_tree(final: list[int], parent: list[int], born: list[int], epsilon: int) -> None:
+    """Reject a tree unless each stratum strictly refines the one before.
+    Stratum k refines stratum k - 1 when every block split off an earlier
+    block in an earlier round, and strictly when a block born in round k
+    holds a state, which then leaves the states of the block's parent."""
+    held, created = [False] * len(parent), [True] + [False] * epsilon
+    for c in final:
+        held[c] = True
+    for c in range(1, len(parent)):
+        if not (0 <= parent[c] < c and born[parent[c]] < born[c] <= epsilon):
+            raise ValueError(f"block {c} must split off an earlier block in an earlier round")
+        created[born[c]] = True
+    if final and not all(held):
+        raise ValueError(f"block {held.index(False)} holds no state")
+    if not all(created):
+        k = created.index(False)
+        raise ValueError(f"stratum {k} must be strictly below stratum {k - 1}")
 
 
 class StrataSequence:
     """The chain of strata for one LTS, indices 0..epsilon inclusive.
 
-    Stored as a log: round k lists (state, new block id) for each state whose
-    id changes from row k - 1 to row k, and row 0 is all zeros.  epsilon is
-    the least index where the chain stabilizes.  The constructor also accepts
-    equivalence relations; ``from_blocks`` takes rows of block ids.
+    Stored as the refinement tree of its blocks: block 0 is the root, born in
+    round 0, and block c > 0 split off block ``parent[c] < c`` in round
+    ``born[c]``; ``final[p]`` is the block of state p in the stable stratum.
+    epsilon is the least index where the chain stabilizes.  The constructor
+    accepts equivalence relations; ``from_blocks`` takes rows of block ids.
     """
 
-    __slots__ = ("lts", "epsilon", "_log", "_rows", "_relations")
+    __slots__ = ("lts", "epsilon", "_final", "_parent", "_born", "_relations")
 
     def __init__(self, lts: Lts, strata: Sequence[Relation], epsilon: int):
         if epsilon != len(strata) - 1:
@@ -105,20 +103,28 @@ class StrataSequence:
             raise ValueError(f"block rows do not fit {n} states")
         if any(rows[0]):
             raise ValueError("stratum 0 must be the full relation")
-        log = [
-            tuple((p, b) for p, (a, b) in enumerate(zip(prev, row)) if a != b)
-            for prev, row in zip(rows, rows[1:])
-        ]
-        return self._set(lts, log)
+        final, parent, born = [0] * n, [0], [0]
+        for k, row in enumerate(rows[1:], 1):
+            # row block -> tree block, and tree block -> the row block of its
+            # first piece, which keeps the tree block's id
+            ids, first, fits = {}, {}, True
+            for p, b in enumerate(row):
+                old = final[p]
+                if first.setdefault(old, b) != b and b not in ids:
+                    ids[b] = len(parent)
+                    parent.append(old)
+                    born.append(k)
+                c = final[p] = ids.setdefault(b, old)
+                fits = fits and (c if born[c] < k else parent[c]) == old  # c in p's old block
+            if not fits or born[-1] != k:
+                raise ValueError(f"stratum {k} must be strictly below stratum {k - 1}")
+        return self._set(lts, final, parent, born, len(rows) - 1)
 
-    def _set(self, lts: Lts, log: Sequence[Moves]) -> "StrataSequence":
-        _check_log(lts.n_states, log)
-        epsilon = len(log)
-        object.__setattr__(self, "lts", lts)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "_log", tuple(log))
-        object.__setattr__(self, "_rows", [(0,) * lts.n_states] + [None] * epsilon)
-        object.__setattr__(self, "_relations", [None] * (epsilon + 1))
+    def _set(self, lts: Lts, final, parent, born, epsilon: int) -> "StrataSequence":
+        _check_tree(final, parent, born, epsilon)
+        values = (lts, epsilon, final, parent, born, [None] * (epsilon + 1))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):
@@ -140,19 +146,12 @@ class StrataSequence:
         """Every row of block ids, numbered in order of first occurrence."""
         return tuple(_canonical(self._row(k)) for k in range(self.epsilon + 1))
 
-    def _row(self, k: int) -> tuple[int, ...]:
-        """The block ids of stratum k, replayed from the nearest kept row below."""
-        rows = self._rows
-        if rows[k] is None:
-            j = k
-            while rows[j] is None:
-                j -= 1
-            row = list(rows[j])
-            for moves in self._log[j:k]:
-                for p, b in moves:
-                    row[p] = b
-            rows[k] = tuple(row)
-        return rows[k]
+    def _row(self, k: int) -> list[int]:
+        """The block ids of stratum k: each state's nearest ancestor born by round k."""
+        at: list[int] = []
+        for c, (up, when) in enumerate(zip(self._parent, self._born)):
+            at.append(c if when <= k else at[up])
+        return [at[c] for c in self._final]
 
     @property
     def strata(self) -> tuple[Relation, ...]:
@@ -174,25 +173,24 @@ class StrataSequence:
         return self.stratum(self.epsilon)
 
     def depth(self, r: Relation) -> int:
-        """The largest k whose stratum contains r, read off the block ids.
-
-        A pair leaves the chain at its split depth, the first row giving its
-        states different blocks, and stays out from then on; so this is one
-        less than the least split depth over the pairs of r, or epsilon when
-        r lies inside bisimilarity.  Found by binary search over the rows.
-        """
+        """The largest k whose stratum contains r (epsilon if no pair splits).
+        A pair splits in the least round that created a block on the paths
+        from its two final blocks up to their common ancestor; the walk steps
+        the larger id, since ancestors have smaller ids, until the two meet."""
         if r.n_states != self.lts.n_states:
             raise ValueError("relation dimensions do not match the strata sequence")
-        pairs = r.pairs
-        lo, hi = 0, self.epsilon  # r lies inside stratum lo
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            row = self._row(mid)
-            if any(row[p] != row[q] for p, q in pairs):
-                hi = mid - 1
-            else:
-                lo = mid
-        return lo
+        final, parent, born, split = self._final, self._parent, self._born, self.epsilon + 1
+        for p, q in r.pairs:
+            a, b = final[p], final[q]
+            while a != b:
+                if a < b:
+                    a, b = b, a
+                if born[a] < split:
+                    split = born[a]
+                a = parent[a]
+            if split == 1:  # round 1 is the earliest split
+                break
+        return split - 1
 
 
 def compute_strata(lts: Lts) -> StrataSequence:
@@ -213,16 +211,16 @@ def compute_strata(lts: Lts) -> StrataSequence:
             preds[q].append((p, offset[a]))
     count: list[dict[int, int]] = [{} for _ in range(n)]
 
-    # the partition, refinable in place: block b holds elems[start[b]:end[b]]
-    # and state p sits at elems[loc[p]]
+    # the partition, refinable in place: block b holds elems[start[b]:end[b]],
+    # state p sits at elems[loc[p]], and b split off parent[b] in round born[b]
     block = [0] * n
     elems, loc = list(range(n)), list(range(n))
     start, end = [0], [n]
-    log: list[Moves] = []
+    parent, born = [0], [0]
     # every state enters block 0 from no block, so round 1 sees each state's
     # whole signature as gained
     moved = [(q, -1, 0) for q in range(n)]
-    while True:
+    for k in itertools.count(1):
         changed: dict[int, list[int]] = {}
         for q, old, new in moved:
             for p, off in preds[q]:
@@ -282,18 +280,11 @@ def compute_strata(lts: Lts) -> StrataSequence:
                 fresh = len(start)
                 start.append(lo)
                 end.append(hi)
+                parent.append(b)
+                born.append(k)
                 moved.extend((p, b, fresh) for p in elems[lo:hi])
-        if not moved:
+        if not moved:  # round k split no block, so epsilon is k - 1
             break
         for p, _, fresh in moved:
             block[p] = fresh
-        log.append(tuple((p, fresh) for p, _, fresh in moved))
-    return StrataSequence.__new__(StrataSequence)._set(lts, log)
-
-
-def stratum(seq: StrataSequence, k: int) -> Relation:
-    return seq.stratum(k)
-
-
-def bisimilarity(seq: StrataSequence) -> Relation:
-    return seq.bisimilarity()
+    return StrataSequence.__new__(StrataSequence)._set(lts, block, parent, born, k - 1)

@@ -41,7 +41,7 @@ from .lattice import (
     z_chain,
 )
 from .checker import CONTAINED, check_companion, check_upto
-from .lts import Lts, Relation, largest_progressing_to, progress_holds, progresses_to
+from .lts import Lts, Relation, largest_progressing_to, progress_holds
 from .sampling import (
     progression_sample,
     random_lattice_progression,
@@ -152,11 +152,11 @@ def _progress_monotone(suite: _Suite):
     for _ in range(suite.samples):
         lts, _seq = _pick(rng, suite.systems)
         r, s = progression_sample(rng, lts)
-        if not progresses_to(lts, r, s).holds:
+        if not progress_holds(lts, r, s):
             yield 0, "sampler produced a bad pair"
         sub = random_subrelation(rng, r)
         sup = s | random_relation(rng, lts.n_states, 0.3)
-        ok = progresses_to(lts, sub, sup).holds
+        ok = progress_holds(lts, sub, sup)
         yield 1, None if ok else f"shrunk source / grown target lost progress on {lts!r}"
 
 
@@ -168,8 +168,8 @@ def _progress_union_closure(suite: _Suite):
         bound = largest_progressing_to(lts, s)
         r1 = random_subrelation(rng, bound)
         r2 = random_subrelation(rng, bound)
-        if progresses_to(lts, r1, s).holds and progresses_to(lts, r2, s).holds:
-            ok = progresses_to(lts, r1 | r2, s).holds
+        if progress_holds(lts, r1, s) and progress_holds(lts, r2, s):
+            ok = progress_holds(lts, r1 | r2, s)
             yield 1, None if ok else f"union broke progress on {lts!r}"
 
 
@@ -191,7 +191,7 @@ def _progress_iff_subset(suite: _Suite):
         lts, _seq = _pick(rng, suite.systems)
         r = random_relation(rng, lts.n_states)
         s = random_relation(rng, lts.n_states)
-        direct = progresses_to(lts, r, s).holds
+        direct = progress_holds(lts, r, s)
         via_largest = r.is_subset(largest_progressing_to(lts, s))
         yield 1, None if direct == via_largest else f"disagreement on {lts!r}"
 
@@ -216,13 +216,13 @@ def _strata_index_monotone(suite: _Suite):
 def _strata_progress_step(suite: _Suite):
     for lts, seq in suite.systems:
         for k in range(seq.epsilon):
-            ok = progresses_to(lts, seq.strata[k + 1], seq.strata[k]).holds
+            ok = progress_holds(lts, seq.strata[k + 1], seq.strata[k])
             yield 1, None if ok else f"step {k + 1} on {lts!r}"
 
 
 def _bisimilarity_self_progress(suite: _Suite):
     for lts, seq in suite.systems:
-        ok = progresses_to(lts, seq.bisimilarity(), seq.bisimilarity()).holds
+        ok = progress_holds(lts, seq.bisimilarity(), seq.bisimilarity())
         yield 1, None if ok else f"{lts!r}"
 
 
@@ -262,9 +262,9 @@ def _lrf_respectful(suite: _Suite):
     for _ in range(suite.samples):
         lts, seq = _pick(rng, suite.systems)
         r, s = progression_sample(rng, lts)
-        if r.is_subset(s) and progresses_to(lts, r, s).holds:
+        if r.is_subset(s) and progress_holds(lts, r, s):
             fr, fs = lrf(seq, r), lrf(seq, s)
-            ok = fr.is_subset(fs) and progresses_to(lts, fr, fs).holds
+            ok = fr.is_subset(fs) and progress_holds(lts, fr, fs)
             yield 1, None if ok else f"on {lts!r}"
 
 

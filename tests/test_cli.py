@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from upto.cli import main
+from upto.formats import MAX_RENDERED_PAIRS
 from upto.gallery import GalleryVerdict, verify_gallery
-from upto.lts import ProgressDiagnosis, ProgressViolation
 from upto.verify import run_verification
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
@@ -369,10 +369,7 @@ class TestErrorsAndPlumbing:
         assert out == expected
 
     def test_verify_reports_a_precondition_failure_without_a_case(self, capsys, monkeypatch):
-        def never_holds(lts, r, s):
-            return ProgressDiagnosis(False, (ProgressViolation((0, 0), "left", "a", 0, 0),))
-
-        monkeypatch.setattr("upto.verify.progresses_to", never_holds)
+        monkeypatch.setattr("upto.verify.progress_holds", lambda lts, r, s: False)
         code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--samples", "30")
         assert code == 1
         lines = out.splitlines()
@@ -419,6 +416,43 @@ class TestWithoutNumpy:
         )
         assert "Traceback" not in blocked.stderr, blocked.stderr
         assert (blocked.returncode, blocked.stdout) == (code, out)
+
+
+# runs upto.cli.main(argv) with its address space capped at 768 MB
+CAPPED = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+    "import upto.cli\n"
+    "sys.exit(upto.cli.main(sys.argv[1:]))\n"
+)
+
+
+class TestRenderLimit:
+    # with no transitions every state is bisimilar to every other: n^2 pairs
+    @pytest.mark.parametrize("n", [100000, 1001])
+    def test_bisim_refuses_a_relation_past_the_limit(self, tmp_path, n):
+        aut = tmp_path / "idle.aut"
+        aut.write_text(f"des (0,0,{n})\n")
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED, "bisim", str(aut)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert f"relation has {n * n} pairs; at most {MAX_RENDERED_PAIRS} " in done.stderr
+
+    def test_strata_fails_before_building_the_later_strata(self, tmp_path):
+        # stratum 0 of a 3000-state path has 9 * 10^6 pairs; its 3000 strata
+        # as relations would not fit under the cap
+        n, aut = 3000, tmp_path / "path.aut"
+        aut.write_text(
+            f"des (0,{n - 1},{n})\n" + "".join(f'({p},"a",{p + 1})\n' for p in range(n - 1))
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED, "strata", str(aut)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert f"relation has {n * n} pairs; at most {MAX_RENDERED_PAIRS} " in done.stderr
 
 
 class TestPipelines:

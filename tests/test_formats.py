@@ -153,6 +153,12 @@ class TestRelationDocuments:
         assert render_relation(r) == "{(0,0), (2,1)}"
         assert render_relation(r, t2.state_names) == "{(0,0), (2,1)}"
 
+    def test_render_limit_is_checked_before_any_pair(self, monkeypatch):
+        monkeypatch.setattr("upto.formats.MAX_RENDERED_PAIRS", 4)
+        assert render_relation(Relation.full(2)) == "{(0,0), (0,1), (1,0), (1,1)}"
+        with pytest.raises(ValueError, match="relation has 9 pairs; at most 4 are rendered"):
+            render_relation(Relation.full(3))
+
 
 class TestLatticeDocuments:
     DIAMOND = json.dumps(

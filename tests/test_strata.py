@@ -9,7 +9,7 @@ from upto import Lts, Relation, compute_strata, largest_progressing_to, lrf, pro
 from upto.formats import render_relation
 from upto.gallery import build_T
 from upto.sampling import random_lts
-from upto.strata import StrataSequence, bisimilarity, stratum
+from upto.strata import StrataSequence, _check_tree
 
 from helpers import all_relations, matrix_strata, refinement_strata, small_lts
 
@@ -43,7 +43,7 @@ class TestExamples:
     def test_stratum_clamps_past_epsilon(self, t2):
         seq = compute_strata(t2)
         assert seq.stratum(seq.epsilon + 7) == seq.stratum(seq.epsilon)
-        assert stratum(seq, 0) == Relation.full(3)
+        assert seq.stratum(0) == Relation.full(3)
 
     def test_negative_index_rejected(self, t2):
         with pytest.raises(ValueError):
@@ -97,12 +97,30 @@ class TestSequenceValidation:
             StrataSequence.from_blocks(lts, rows)
         assert StrataSequence.from_blocks(lts, rows[:2]).epsilon == 1
 
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            # block 1 names itself as the block it split off
+            (([0, 1], [0, 1], [0, 1], 1), "block 1 must split off an earlier block"),
+            # block 1 keeps no state in the stable stratum
+            (([0, 0], [0, 0], [0, 1], 1), "block 1 holds no state"),
+            # no block is born in round 1
+            (([0, 1], [0, 0], [0, 2], 2), "stratum 1 must be strictly below stratum 0"),
+        ],
+        ids=["parent-not-earlier", "empty-block", "idle-round"],
+    )
+    def test_tree_check_rejects_bad_trees(self, tree, message):
+        with pytest.raises(ValueError, match=message):
+            _check_tree(*tree)
+        _check_tree([0, 1], [0, 0], [0, 1], 1)
+
 
 def path(n):
     """States 0 -a-> 1 -a-> ... -a-> n-1: epsilon is n - 1, one state moving per round."""
     return Lts([str(i) for i in range(n)], [(i, "a", i + 1) for i in range(n - 1)])
 
 
+# a long chain must stay small; the class name predates the refinement tree
 class TestMoveLog:
     def test_long_path_stays_small(self):
         # one row of block ids per stratum would be 3000 x 3000 ids
@@ -124,6 +142,33 @@ class TestMoveLog:
         seq = compute_strata(lts)
         assert StrataSequence.from_blocks(lts, seq.blocks) == seq
         assert all(type(row) is tuple for row in seq.blocks)
+
+
+class TestDepth:
+    def test_path_depth_has_a_closed_form(self):
+        # on a path, p and q stay together exactly while both can still make
+        # as many steps as the stratum index
+        n = 300
+        seq = compute_strata(path(n))
+        for p in range(n):
+            for q in range(n):
+                if p != q:
+                    r = Relation.from_pairs(n, [(p, q)])
+                    assert seq.depth(r) == n - 1 - max(p, q), (p, q)
+
+    def test_single_pairs_match_the_strata(self):
+        rng = random.Random(2024)
+        systems = [build_T(n).lts for n in range(31)]
+        for _ in range(30):
+            n = rng.randint(1, 60)
+            systems.append(random_lts(rng, n, rng.randint(1, 3), rng.uniform(0.5, 3.0) / n))
+        for lts in systems:
+            seq = compute_strata(lts)
+            n = lts.n_states
+            for p in range(n):
+                for q in range(n):
+                    last = max(k for k in range(seq.epsilon + 1) if (p, q) in seq.stratum(k))
+                    assert seq.depth(Relation.from_pairs(n, [(p, q)])) == last, (lts, p, q)
 
 
 class TestInvariants:
@@ -194,7 +239,7 @@ class TestOracles:
         for x in all_relations(lts.n_states):
             if progresses_to(lts, x, x).holds:
                 union = union | x
-        assert bisimilarity(compute_strata(lts)) == union
+        assert compute_strata(lts).bisimilarity() == union
 
     def test_matches_matrix_operator_on_random_systems(self):
         rng = random.Random(2024)
