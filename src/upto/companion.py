@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .lts import Lts, ProgressDiagnosis, Relation, progress_holds, progresses_to
 from .strata import StrataSequence
+
+# images remembered by each of the catalog's upto_bisim and union_bisim
+CATALOG_MEMO = 128
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,15 @@ def lrf_function(seq: StrataSequence) -> UpToFunction:
     )
 
 
+def _remembered(image: Callable[[Relation], Relation]) -> Callable[[Relation], Relation]:
+    """image, with its last CATALOG_MEMO results kept by the argument's rows:
+    a row tuple hashes in C, and keeps no cached pairs or columns alive."""
+    by_rows = lru_cache(maxsize=CATALOG_MEMO)(
+        lambda rows: image(Relation._from_rows(len(rows), rows))
+    )
+    return lambda r: by_rows(r.row_bits)
+
+
 def catalog(lts: Lts, seq: StrataSequence) -> list[UpToFunction]:
     """Named up-to functions known sound: four primitives and their pairwise
     compositions and pointwise unions.
@@ -96,7 +109,10 @@ def catalog(lts: Lts, seq: StrataSequence) -> list[UpToFunction]:
     the classic up-to-bisimilarity function (compose with bisimilarity on
     both sides), and union with bisimilarity.  Respectful functions are
     closed under composition and pointwise union, so every entry is
-    respectful.
+    respectful.  The two primitives that build a relation remember their
+    last ``CATALOG_MEMO`` images, which the composites share: they call the
+    primitives' plain functions, and only the outer call checks the state
+    count.
     """
     if seq.lts is not lts and seq.lts != lts:
         raise ValueError("strata sequence was computed for a different LTS")
@@ -106,19 +122,21 @@ def catalog(lts: Lts, seq: StrataSequence) -> list[UpToFunction]:
         UpToFunction("identity", lts, lambda r: r, trusted=True),
         UpToFunction("const_bisim", lts, lambda r: bisim, trusted=True),
         UpToFunction(
-            "upto_bisim", lts, lambda r: bisim.compose(r).compose(bisim), trusted=True
+            "upto_bisim", lts, _remembered(lambda r: bisim.compose(r).compose(bisim)), trusted=True
         ),
-        UpToFunction("union_bisim", lts, lambda r: r | bisim, trusted=True),
+        UpToFunction("union_bisim", lts, _remembered(lambda r: r | bisim), trusted=True),
     ]
 
     def composed(f: UpToFunction, g: UpToFunction) -> UpToFunction:
+        outer, inner = f.fn, g.fn
         return UpToFunction(
-            f"compose({f.name},{g.name})", lts, lambda r: f(g(r)), trusted=True
+            f"compose({f.name},{g.name})", lts, lambda r: outer(inner(r)), trusted=True
         )
 
     def joined(f: UpToFunction, g: UpToFunction) -> UpToFunction:
+        left, right = f.fn, g.fn
         return UpToFunction(
-            f"union({f.name},{g.name})", lts, lambda r: f(r) | g(r), trusted=True
+            f"union({f.name},{g.name})", lts, lambda r: left(r) | right(r), trusted=True
         )
 
     out = list(base)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,6 +117,17 @@ class RelationDocument:
     name: Optional[str] = None
 
 
+@contextmanager
+def _nesting_limit(error: type[ValueError], what: str):
+    """Turn a RecursionError, which json.loads raises on deeply nested
+    arrays and str() or repr() can raise on a deep entry, into error."""
+    try:
+        yield
+    except RecursionError:
+        raise error(f"{what} is nested too deeply") from None
+
+
+@_nesting_limit(RelationParseError, "relation document")
 def parse_relation_document(text: str) -> RelationDocument:
     stripped = text.strip()
     if not stripped:
@@ -175,9 +187,11 @@ def parse_relation(text: str, lts: Lts) -> Relation:
 
 
 def render_relation(r: Relation, names: Optional[tuple[str, ...]] = None) -> str:
-    # len(r) is a popcount, so an oversized relation builds none of its pairs
-    if len(r) > MAX_RENDERED_PAIRS:
-        raise ValueError(f"relation has {len(r)} pairs; at most {MAX_RENDERED_PAIRS} are rendered")
+    # len(r) is a popcount (a stratum knows it), so an oversized relation
+    # builds none of its pairs
+    size = len(r)
+    if size > MAX_RENDERED_PAIRS:
+        raise ValueError(f"relation has {size} pairs; at most {MAX_RENDERED_PAIRS} are rendered")
     names = range(r.n_states) if names is None else names
     return "{" + ", ".join(f"({names[p]},{names[q]})" for p, q in r.pairs) + "}"
 
@@ -189,6 +203,7 @@ class LatticeDocument:
     kind: str  # "cover" or "leq"
 
 
+@_nesting_limit(LatticeParseError, "lattice document")
 def parse_lattice_document(text: str) -> LatticeDocument:
     try:
         data = json.loads(text)

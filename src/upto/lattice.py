@@ -345,11 +345,19 @@ def _function_row(lattice: FiniteLattice, f: Sequence[int]) -> tuple[int, ...]:
 def _preserves(rel: Relation, f: Sequence[int]) -> bool:
     """(x, y) in rel implies (f[x], f[y]) in rel, tested pair by pair."""
     rows = rel.row_bits
-    return all(rows[f[x]] >> f[y] & 1 for x, y in rel.pairs)
+    for x, y in rel.pairs:
+        if not rows[f[x]] >> f[y] & 1:
+            return False
+    return True
 
 
 def _compatible(lattice: FiniteLattice, s: Sequence[int], f: Sequence[int]) -> bool:
-    return all(lattice.le(f[s[x]], s[f[x]]) for x in range(lattice.size))
+    """f[s[x]] below s[f[x]] for every x."""
+    up = lattice.order.row_bits
+    for x, sx in enumerate(s):
+        if not up[f[sx]] >> s[f[x]] & 1:
+            return False
+    return True
 
 
 def is_monotone(lattice: FiniteLattice, f: Sequence[int]) -> bool:
@@ -391,6 +399,8 @@ def _preserving(lattice: FiniteLattice, rel: Relation) -> list[tuple[int, ...]]:
         raise ValueError(f"lattice has {m} elements; enumeration is capped at {ENUMERATION_CAP}")
     rows, cols = rel.row_bits, rel.column_bits
     loops = sum(1 << v for v in range(m) if rows[v] >> v & 1)
+    # the values in each set of values, as one-element tuples
+    values = [tuple((v,) for v in range(m) if allowed >> v & 1) for allowed in range(1 << m)]
     funcs: list[tuple[int, ...]] = [()]
     for i in range(m):
         needs = [(rows, j) for j in range(i) if rows[j] >> i & 1]
@@ -401,7 +411,7 @@ def _preserving(lattice: FiniteLattice, rel: Relation) -> list[tuple[int, ...]]:
             allowed = start
             for bits, j in needs:
                 allowed &= bits[f[j]]
-            grown.extend(f + (v,) for v in range(m) if allowed >> v & 1)
+            grown += [f + v for v in values[allowed]]
         funcs = grown
     return funcs
 

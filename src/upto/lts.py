@@ -5,28 +5,33 @@ pair in R can be matched by the other side, with the derivative pair landing
 in S.  The two operations here are the per-pair progress test and the
 largest relation progressing to a fixed target, the general operator that
 the stratum chain (built by partition refinement in ``strata``) is tested
-against.  One lazy generator of unmatched moves is the only code for the
-two progress clauses.  Drained, it is the diagnosis the proof checker
-reports; stopped at its first item, it is the early-exit test; run on each
-single pair, it gives the largest relation progressing to a target, since
-such relations are closed under union.  No matrix product is involved.
+against.  One row walk is the only code for the two progress clauses: it
+walks the pairs (p, q) of one left state p, for a run of q's, and returns
+the q's it rejects.  Given a list, it appends every unmatched move, which
+is the diagnosis the proof checker reports; without one, each q stops at
+its first unmatched move, which is the early-exit test.  Walked over every
+q, row p of the largest relation progressing to a target is the q's it
+does not reject, since such relations are closed under union.  No matrix
+product is involved, and no generator is started per pair.
 
 A relation is one int per state: bit q of ``Relation.row_bits[p]`` is set
 iff (p, q) is in it.  Its n x n numpy boolean matrix is only a view on
 request, and ``Relation(n, matrix)`` reads one; only these two load numpy.
-The generator tests each move with one AND of a row (or column) of the
-target and a successor bitset (bit q of ``Lts._successor_bits()[p][a]`` is
-set when p has an a-move to q).  Columns are built when a right move first
-needs them; an equivalence's columns are its rows.  An n-state relation's
-rows take at most n^2/8 bytes, and the successor bitsets at most n/8 bytes
-per state and label.
+The walk tests each move with one AND of a row (or column) of the target
+and a successor bitset (bit q of ``Lts._successor_bits()[p][a]`` is set
+when p has an a-move to q).  A relation's q's come from its cached
+``pairs``, not from walking the bits of wide rows.  Columns are built when
+a right move first needs them; an equivalence's columns are its rows.  An
+n-state relation's rows take at most n^2/8 bytes, and the successor bitsets
+at most n/8 bytes per state and label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, index, or_
-from typing import Iterable, Iterator
+from itertools import groupby
+from operator import and_, index, itemgetter, or_
+from typing import Iterable, Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ class Relation:
     with matching state counts.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("n_states", "row_bits", "_cols", "_pairs")
+    __slots__ = ("n_states", "row_bits", "_cols", "_pairs", "_size")
 
     def __init__(self, n_states: int, matrix):
         import numpy as np
@@ -143,24 +148,25 @@ class Relation:
         # row p as an int, column k at bit k
         packed = np.packbits(mat, axis=1, bitorder="little")
         rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-        self._set(n_states, rows, None)
-
-    def _set(self, n_states: int, rows: tuple[int, ...], cols) -> "Relation":
-        object.__setattr__(self, "n_states", n_states)
-        object.__setattr__(self, "row_bits", rows)
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_pairs", None)
-        return self
+        for set_slot, value in zip(_SLOT_SETTERS, (n_states, rows, None, None, None)):
+            set_slot(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Relation is immutable")
 
     # construction
 
-    @classmethod
-    def _from_rows(cls, n_states: int, rows: tuple[int, ...], cols=None) -> "Relation":
-        """Unchecked: these row bitsets, and the column bitsets when known."""
-        return cls.__new__(cls)._set(n_states, rows, cols)
+    @staticmethod
+    def _from_rows(n_states: int, rows: tuple[int, ...], cols=None, size=None) -> "Relation":
+        """Unchecked: these row bitsets, and the column bitsets and the pair
+        count when known."""
+        r = _new(Relation)
+        _set_n(r, n_states)
+        _set_rows(r, rows)
+        _set_cols(r, cols)
+        _set_pairs(r, None)
+        _set_size(r, size)
+        return r
 
     @classmethod
     def from_pairs(cls, n_states: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -212,7 +218,7 @@ class Relation:
                     low = row & -row
                     pairs.append((p, low.bit_length() - 1))
                     row ^= low
-            object.__setattr__(self, "_pairs", tuple(pairs))
+            _set_pairs(self, tuple(pairs))
         return self._pairs
 
     @property
@@ -226,7 +232,7 @@ class Relation:
                     low = row & -row
                     cols[low.bit_length() - 1] |= bit
                     row ^= low
-            object.__setattr__(self, "_cols", tuple(cols))
+            _set_cols(self, tuple(cols))
         return self._cols
 
     def __contains__(self, pair) -> bool:
@@ -238,32 +244,38 @@ class Relation:
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        return sum(row.bit_count() for row in self.row_bits)
+        """The pair count, cached."""
+        if self._size is None:
+            _set_size(self, sum(row.bit_count() for row in self.row_bits))
+        return self._size
 
     # algebra
 
-    def _check(self, other: "Relation") -> None:
-        if self.n_states != other.n_states:
-            raise ValueError(
-                f"relations over different state counts: {self.n_states} vs {other.n_states}"
-            )
+    def _mismatch(self, other: "Relation") -> ValueError:
+        return ValueError(
+            f"relations over different state counts: {self.n_states} vs {other.n_states}"
+        )
 
     def union(self, other: "Relation") -> "Relation":
-        self._check(other)
+        if self.n_states != other.n_states:
+            raise self._mismatch(other)
         return Relation._from_rows(self.n_states, tuple(map(or_, self.row_bits, other.row_bits)))
 
     def intersect(self, other: "Relation") -> "Relation":
-        self._check(other)
+        if self.n_states != other.n_states:
+            raise self._mismatch(other)
         return Relation._from_rows(self.n_states, tuple(map(and_, self.row_bits, other.row_bits)))
 
     def difference(self, other: "Relation") -> "Relation":
-        self._check(other)
+        if self.n_states != other.n_states:
+            raise self._mismatch(other)
         rows = tuple(a & ~b for a, b in zip(self.row_bits, other.row_bits))
         return Relation._from_rows(self.n_states, rows)
 
     def compose(self, other: "Relation") -> "Relation":
         """Relational composition: (p, q) related iff p -self-> x -other-> q."""
-        self._check(other)
+        if self.n_states != other.n_states:
+            raise self._mismatch(other)
         rows = other.row_bits
         return Relation._from_rows(self.n_states, tuple(_image(rows, row) for row in self.row_bits))
 
@@ -271,8 +283,10 @@ class Relation:
         return Relation._from_rows(self.n_states, self.column_bits, self.row_bits)
 
     def is_subset(self, other: "Relation") -> bool:
-        self._check(other)
-        return not any(a & ~b for a, b in zip(self.row_bits, other.row_bits))
+        if self.n_states != other.n_states:
+            raise self._mismatch(other)
+        rows = self.row_bits
+        return rows == tuple(map(and_, rows, other.row_bits))
 
     __or__ = union
     __and__ = intersect
@@ -310,6 +324,12 @@ class Relation:
         return f"Relation({self.n_states}, {{{inner}}})"
 
 
+# The slots' own setters, which bypass Relation.__setattr__.
+_new = object.__new__
+_SLOT_SETTERS = tuple(getattr(Relation, name).__set__ for name in Relation.__slots__)
+_set_n, _set_rows, _set_cols, _set_pairs, _set_size = _SLOT_SETTERS
+
+
 def _image(rows: tuple[int, ...], members: int) -> int:
     """The union of rows[q] over the set bits q of members."""
     out = 0
@@ -320,12 +340,12 @@ def _image(rows: tuple[int, ...], members: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ProgressViolation:
+class ProgressViolation(NamedTuple):
     """One unmatched transition found while checking progress.
 
     direction "left" means the transition leaves the left state of the pair
-    (clause 1), "right" that it leaves the right state (clause 2).
+    (clause 1), "right" that it leaves the right state (clause 2).  A named
+    tuple, since a diagnosis can hold hundreds of thousands of them.
     """
 
     pair: tuple[int, int]
@@ -345,29 +365,62 @@ class ProgressDiagnosis:
             raise ValueError("holds must be true iff there are no violations")
 
 
-def _violations(
-    lts: Lts, pairs: Iterable[tuple[int, int]], s: Relation
-) -> Iterator[ProgressViolation]:
-    """Each unmatched move of each pair against the target s, lazily.
+_left, _right = itemgetter(0), itemgetter(1)
 
-    Order: pairs as given, then labels, then the left state's moves
-    (clause 1) before the right state's (clause 2).  A left move p -a-> p1
-    is matched when row p1 of s meets the a-successors of q; a right move
-    q -a-> q1 when column q1 of s meets the a-successors of p; the columns
-    are fetched at the first right move.
+
+def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None) -> int:
+    """Walk the moves of each pair (p, q), for q in qs, against the target s.
+
+    Per pair: labels in order, then p's moves (clause 1) before q's (clause
+    2).  A left move p -a-> p1 is matched when row p1 of s meets the
+    a-successors of q; a right move q -a-> q1 when column q1 of s meets the
+    a-successors of p; the columns are fetched at the first right move.
+    Given a list ``moves``, every unmatched move is appended to it as a
+    ProgressViolation; without one, each q stops at its first unmatched
+    move.  Returns the rejected q's as a bitset.
     """
     succ, bits = lts._succ, lts._successor_bits()
     rows, cols = s.row_bits, None
-    for p, q in pairs:
-        for label, ps, qs, p_bits, q_bits in zip(lts.labels, succ[p], succ[q], bits[p], bits[q]):
+    labels, p_succ, p_bits, stop = lts.labels, succ[p], bits[p], moves is None
+    # a q's unmatched moves come one after another, so each rejected q sets
+    # its bit once: at 20000 states each bit set is O(n)
+    rejected, last = 0, -1
+    for q in qs:
+        for label, ps, qs1, pb, qb in zip(labels, p_succ, succ[q], p_bits, bits[q]):
             for p1 in ps:
-                if not rows[p1] & q_bits:
-                    yield ProgressViolation((p, q), "left", label.text, p, p1)
-            if qs and cols is None:
-                cols = s.column_bits
-            for q1 in qs:
-                if not cols[q1] & p_bits:
-                    yield ProgressViolation((p, q), "right", label.text, q, q1)
+                if not rows[p1] & qb:
+                    if q != last:
+                        rejected |= 1 << q
+                        last = q
+                    if stop:
+                        break
+                    moves.append(ProgressViolation((p, q), "left", label.text, p, p1))
+            else:
+                if cols is None and qs1:
+                    cols = s.column_bits
+                for q1 in qs1:
+                    if not cols[q1] & pb:
+                        if q != last:
+                            rejected |= 1 << q
+                            last = q
+                        if stop:
+                            break
+                        moves.append(ProgressViolation((p, q), "right", label.text, q, q1))
+                else:
+                    continue
+            break  # only a stopping walk gets here, at q's first unmatched move
+    return rejected
+
+
+def _violations(
+    lts: Lts, pairs: Iterable[tuple[int, int]], s: Relation
+) -> Iterator[ProgressViolation]:
+    """Each unmatched move of each pair against the target s: pairs as
+    given, one row walk per run of pairs with the same left state."""
+    moves: list[ProgressViolation] = []
+    for p, run in groupby(pairs, _left):
+        _row_walk(lts, s, p, map(_right, run), moves)
+    return iter(moves)
 
 
 def progresses_to(lts: Lts, r: Relation, s: Relation) -> ProgressDiagnosis:
@@ -384,10 +437,13 @@ def progresses_to(lts: Lts, r: Relation, s: Relation) -> ProgressDiagnosis:
 
 
 def progress_holds(lts: Lts, r: Relation, s: Relation) -> bool:
-    """Like progresses_to(...).holds, stopping at the first violation."""
+    """Like progresses_to(...).holds, stopping at the first rejected pair."""
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    return next(_violations(lts, r.pairs, s), None) is None
+    for p, run in groupby(r.pairs, _left):
+        if _row_walk(lts, s, p, map(_right, run)):
+            return False
+    return True
 
 
 def largest_progressing_to(lts: Lts, s: Relation) -> Relation:
@@ -395,14 +451,11 @@ def largest_progressing_to(lts: Lts, s: Relation) -> Relation:
 
     Relations progressing to a fixed target are closed under union, so the
     largest one is exactly the set of pairs that progress to s on their own:
-    the pairs (p, q) whose walk of both progress clauses finds no unmatched
-    move.
+    row p holds the q's that the walk of row p does not reject.
     """
     if s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
     n = lts.n_states
-    rows = tuple(
-        sum(1 << q for q in range(n) if next(_violations(lts, ((p, q),), s), None) is None)
-        for p in range(n)
-    )
+    full, everyone = (1 << n) - 1, range(n)
+    rows = tuple(full ^ _row_walk(lts, s, p, everyone) for p in everyone)
     return Relation._from_rows(n, rows)

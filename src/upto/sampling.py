@@ -12,6 +12,7 @@ row-bitset ints of a ``Relation``.
 from __future__ import annotations
 
 import random
+from operator import or_
 
 from .lattice import FiniteLattice, LatticeProgression, close_to_progression
 from .lts import Lts, Relation
@@ -47,15 +48,28 @@ def random_lts_pool(
 def random_relation(rng: random.Random, n_states: int, density: float | None = None) -> Relation:
     if density is None:
         density = rng.uniform(0.1, 0.7)
-    states = range(n_states)
-    rows = tuple(sum(1 << q for q in states if rng.random() < density) for _ in states)
-    return Relation._from_rows(n_states, rows)
+    draw, rows = rng.random, []
+    for _ in range(n_states):
+        row = 0
+        for q in range(n_states):
+            if draw() < density:
+                row |= 1 << q
+        rows.append(row)
+    return Relation._from_rows(n_states, tuple(rows))
 
 
 def random_subrelation(rng: random.Random, r: Relation, keep: float = 0.5) -> Relation:
-    return Relation.from_pairs(
-        r.n_states, [pq for pq in r.pairs if rng.random() < keep]
-    )
+    """Each pair of r kept with probability keep, drawn in pair order."""
+    draw, rows = rng.random, []
+    for row in r.row_bits:
+        kept = 0
+        while row:
+            low = row & -row
+            if draw() < keep:
+                kept |= low
+            row ^= low
+        rows.append(kept)
+    return Relation._from_rows(r.n_states, tuple(rows))
 
 
 def forced_progression_target(lts: Lts, r: Relation) -> tuple[Relation, Relation]:
@@ -66,24 +80,25 @@ def forced_progression_target(lts: Lts, r: Relation) -> tuple[Relation, Relation
     other side has; the returned target contains the survivors plus all their
     matched-label derivative combinations, so the survivors progress to it.
     """
-    n = lts.n_states
-    n_labels = len(lts.labels)
-    kept = []
-    target = [0] * n
-    for p, q in r.pairs:
-        viable = all(
-            bool(lts.successors(p, a)) == bool(lts.successors(q, a))
-            for a in range(n_labels)
-        )
-        if not viable:
-            continue
-        kept.append((p, q))
-        for a in range(n_labels):
-            for p1 in lts.successors(p, a):
-                for q1 in lts.successors(q, a):
-                    target[p1] |= 1 << q1
-    kept_rel = Relation.from_pairs(n, kept)
-    return kept_rel, Relation._from_rows(n, tuple(target)) | kept_rel
+    succ, bits = lts._succ, lts._successor_bits()
+    enabled = [tuple(map(bool, b)) for b in bits]  # the labels each state moves under
+    kept, target = [], [0] * lts.n_states
+    for p, row in enumerate(r.row_bits):
+        row_kept = 0
+        while row:
+            low = row & -row
+            row ^= low
+            q = low.bit_length() - 1
+            if enabled[q] != enabled[p]:
+                continue
+            row_kept |= low
+            # the a-successors of q, related from each a-successor of p
+            for ps, q_bits in zip(succ[p], bits[q]):
+                for p1 in ps:
+                    target[p1] |= q_bits
+        kept.append(row_kept)
+    n, kept = lts.n_states, tuple(kept)
+    return Relation._from_rows(n, kept), Relation._from_rows(n, tuple(map(or_, target, kept)))
 
 
 def progression_sample(

@@ -24,6 +24,7 @@ asked for: one row bitset per block.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Sequence
 
 from .lts import Lts, Relation
@@ -162,11 +163,16 @@ class StrataSequence:
         """The k-th stratum; indices past epsilon return the stable relation."""
         if k < 0:
             raise ValueError("stratum index must be non-negative")
-        k = min(k, self.epsilon)
-        if self._relations[k] is None:
-            rows = _block_rows(self._row(k))
-            self._relations[k] = Relation._from_rows(self.lts.n_states, rows, rows)
-        return self._relations[k]
+        if k > self.epsilon:
+            k = self.epsilon
+        r = self._relations[k]
+        if r is None:
+            ids = self._row(k)
+            rows = _block_rows(ids)
+            # the pairs of a partition: the squared size of each block
+            size = sum(c * c for c in Counter(ids).values())
+            r = self._relations[k] = Relation._from_rows(self.lts.n_states, rows, rows, size)
+        return r
 
     def bisimilarity(self) -> Relation:
         """The stable stratum: the largest relation progressing to itself."""

@@ -125,6 +125,11 @@ class _Suite:
             (lts, compute_strata(lts)) for lts in pool
         ]
         self.small = [(l, s) for (l, s) in self.systems if l.n_states <= 3]
+        # each system's catalog with lrf appended, keyed by the identity of
+        # its chain, so the catalog's remembered images serve every check
+        self.functions = {
+            id(seq): catalog(lts, seq) + [lrf_function(seq)] for lts, seq in self.systems
+        }
 
         lattices: list[tuple[str, FiniteLattice]] = [
             ("chain2", chain_lattice(2)),
@@ -280,7 +285,7 @@ def _lrf_largest(suite: _Suite):
     per_system = _clamp(suite.samples // len(suite.systems), 5, 100)
     for lts, seq in suite.systems:
         rs = [random_relation(suite.rng, lts.n_states) for _ in range(per_system)]
-        for f in catalog(lts, seq):
+        for f in suite.functions[id(seq)][:-1]:
             verdict = check_lrf_largest(seq, f, rs)
             yield verdict.samples_checked, None if verdict.holds else (
                 f"{verdict.counterexample.function_name} escapes lrf on {lts!r}"
@@ -299,7 +304,7 @@ def _checker_soundness(suite: _Suite):
     rng = suite.rng
     for _ in range(_clamp(suite.samples // 5, 20, 400)):
         lts, seq = _pick(rng, suite.systems)
-        f = _pick(rng, catalog(lts, seq) + [lrf_function(seq)])
+        f = _pick(rng, suite.functions[id(seq)])
         r = random_relation(rng, lts.n_states)
         report = check_upto(lts, r, f, seq=seq)
         ok = report.conclusion != CONTAINED or (
@@ -315,7 +320,7 @@ def _checker_maximality(suite: _Suite):
         r = random_relation(rng, lts.n_states)
         any_success = any(
             check_upto(lts, r, f, seq=seq).conclusion == CONTAINED
-            for f in catalog(lts, seq)
+            for f in suite.functions[id(seq)][:-1]
         )
         ok = not any_success or check_companion(lts, r).conclusion == CONTAINED
         yield 1, None if ok else f"a catalog function succeeded but lrf failed on {lts!r}"

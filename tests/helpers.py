@@ -8,7 +8,10 @@ matrix_strata iterates it, scan_lrf reads lrf off the materialized strata,
 scalar_violations walks the progress clauses one boolean matrix entry at a
 time, and the enumeration
 helpers sweep every relation on a small state space or every endofunction of
-a small lattice, one function at a time.
+a small lattice, one function at a time.  The reference_* samplers are the
+samplers as first written, pair by pair through generators and
+Relation.from_pairs; the library's samplers must draw the same numbers in the
+same order and return the same relations.
 """
 
 import itertools
@@ -100,6 +103,36 @@ def scalar_violations(lts, pairs, smat):
             for q1 in qs:
                 if not any(smat[p1, q1] for p1 in ps):
                     yield ProgressViolation((p, q), "right", label.text, q, q1)
+
+
+def reference_random_relation(rng, n_states, density=None):
+    """random_relation with one generator per row."""
+    if density is None:
+        density = rng.uniform(0.1, 0.7)
+    states = range(n_states)
+    rows = [sum(1 << q for q in states if rng.random() < density) for _ in states]
+    return Relation.from_pairs(
+        n_states, [(p, q) for p in states for q in states if rows[p] >> q & 1]
+    )
+
+
+def reference_random_subrelation(rng, r, keep=0.5):
+    """random_subrelation with one draw per member pair, in pair order."""
+    return Relation.from_pairs(r.n_states, [pq for pq in r.pairs if rng.random() < keep])
+
+
+def reference_forced_progression_target(lts, r):
+    """forced_progression_target pair by pair over successor tuples."""
+    n, n_labels = lts.n_states, len(lts.labels)
+    kept, target = [], []
+    for p, q in r.pairs:
+        if all(
+            bool(lts.successors(p, a)) == bool(lts.successors(q, a)) for a in range(n_labels)
+        ):
+            kept.append((p, q))
+            for a in range(n_labels):
+                target += [(p1, q1) for p1 in lts.successors(p, a) for q1 in lts.successors(q, a)]
+    return Relation.from_pairs(n, kept), Relation.from_pairs(n, kept + target)
 
 
 def all_relations(n):

@@ -18,6 +18,7 @@ DIAMOND_JSON = (
 )
 VERIFY_SEED7_SAMPLES30 = Path(__file__).parent / "data" / "verify_seed7_samples30.txt"
 VERIFY_SEED42_SAMPLES1000 = Path(__file__).parent / "data" / "verify_seed42_samples1000.txt"
+VERIFY_SEED1001_SAMPLES1000 = Path(__file__).parent / "data" / "verify_seed1001_samples1000.txt"
 
 
 @pytest.fixture
@@ -351,6 +352,10 @@ class TestErrorsAndPlumbing:
         assert report.all_passed
         assert report.render() == VERIFY_SEED42_SAMPLES1000.read_text()
 
+    def test_verify_benchmark_seed_report_is_pinned(self):
+        # the first seed every verify benchmark run shares
+        assert run_verification(1001, 1000).render() == VERIFY_SEED1001_SAMPLES1000.read_text()
+
     def test_verify_reports_a_failing_check(self, capsys, monkeypatch):
         def flawed(n):
             verdict = verify_gallery(n)
@@ -453,6 +458,40 @@ class TestRenderLimit:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert f"relation has {n * n} pairs; at most {MAX_RENDERED_PAIRS} " in done.stderr
+
+
+class TestDeepJson:
+    # 200,000 opening brackets: json.loads gives up on the nesting
+    DEEP = "[" * 200000
+
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            ("companion", ("t2.aut", "deep")),
+            ("check-upto", ("t2.aut", "deep")),
+            ("lattice-companion", ("deep", "prog.json")),
+            ("lattice-companion", ("diamond.json", "deep")),
+        ],
+    )
+    def test_exits_2_without_a_traceback(self, tmp_path, command, files):
+        contents = {
+            "t2.aut": T2_AUT,
+            "diamond.json": DIAMOND_JSON,
+            "prog.json": '{"pairs": [["bot", "bot"]]}',
+            "deep": self.DEEP,
+        }
+        paths = []
+        for name in files:
+            path = tmp_path / name
+            path.write_text(contents[name])
+            paths.append(str(path))
+        done = subprocess.run(
+            [sys.executable, "-m", "upto", command, *paths],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and "nested too deeply" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestPipelines:

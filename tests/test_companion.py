@@ -14,6 +14,7 @@ from upto import (
     lrf_function,
     progresses_to,
 )
+from upto.companion import CATALOG_MEMO
 from upto.sampling import progression_sample, random_lts_pool, random_relation, random_subrelation
 
 from helpers import lts_with_relations, scan_lrf, small_lts
@@ -135,6 +136,37 @@ class TestCatalog:
     def test_wrong_lts_rejected(self, t2, deadlock_vs_loop):
         with pytest.raises(ValueError):
             catalog(deadlock_vs_loop, compute_strata(t2))
+
+    def test_remembered_images_equal_fresh_ones(self):
+        # one catalog serves every relation; each answer must equal a fresh
+        # catalog's, also for an equal relation built as a distinct object
+        rng = random.Random(21)
+        for lts in random_lts_pool(rng, 12):
+            seq = compute_strata(lts)
+            bisim, kept = seq.bisimilarity(), catalog(lts, seq)
+            for _ in range(15):
+                r = random_relation(rng, lts.n_states)
+                twin = Relation.from_pairs(lts.n_states, list(r.pairs))
+                assert twin == r and twin is not r
+                for f, fresh in zip(kept, catalog(lts, seq)):
+                    assert f(r) == fresh(r) == f(twin), f.name
+                assert kept[2](r) == bisim.compose(r).compose(bisim)
+                assert kept[3](r) == r | bisim
+
+    def test_images_stay_right_past_the_memo_bound(self):
+        lts = random_lts_pool(random.Random(22), 1, max_states=5)[0]
+        seq = compute_strata(lts)
+        bisim, upto_bisim = seq.bisimilarity(), catalog(lts, seq)[2]
+        rng = random.Random(23)
+        rs = [random_relation(rng, lts.n_states) for _ in range(3 * CATALOG_MEMO)]
+        for r in rs + rs[::-1]:
+            assert upto_bisim(r) == bisim.compose(r).compose(bisim)
+
+    def test_memo_keeps_the_state_count_check(self, t2, t2_seq):
+        fns = {f.name: f for f in catalog(t2, t2_seq)}
+        for name in ("upto_bisim", "union_bisim", "compose(upto_bisim,union_bisim)"):
+            with pytest.raises(ValueError, match="different state counts"):
+                fns[name](Relation.identity(4))
 
 
 class TestLrfLargest:

@@ -122,6 +122,19 @@ class TestRelationDocuments:
         assert doc.name == "demo"
         assert doc.pairs == (("1", "2"),)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(RelationParseError, match="nested too deeply"):
+            parse_relation_document("[" * 200000)
+        # json.loads gives up first on the deepest documents; somewhat
+        # shallower ones parse, and str() of the deep entry gives up instead
+        for depth in range(800, 1100, 7):
+            deep = "[" * depth + "]" * depth
+            for text in ("[" * depth, f'{{"pairs": [[{deep}, "0"]]}}'):
+                try:
+                    parse_relation_document(text)
+                except RelationParseError:
+                    pass
+
     def test_json_bare_array(self, t2):
         assert parse_relation("[[0, 1], [2, 2]]", t2) == Relation.from_pairs(
             3, [(0, 1), (2, 2)]
@@ -167,6 +180,18 @@ class TestLatticeDocuments:
             "cover": [["bot", "x"], ["bot", "y"], ["x", "top"], ["y", "top"]],
         }
     )
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(LatticeParseError, match="nested too deeply"):
+            parse_lattice("[" * 200000)
+        for depth in range(800, 1100, 7):
+            deep = "[" * depth + "]" * depth
+            for text in (
+                f'{{"elements": [{deep}], "leq": []}}',
+                f'{{"elements": ["a"], "leq": [[{deep}, "a"]]}}',
+            ):
+                with pytest.raises(LatticeParseError):
+                    parse_lattice(text)
 
     def test_diamond_from_covers(self):
         lat = parse_lattice(self.DIAMOND)

@@ -13,7 +13,8 @@ from upto import (
     progress_holds,
     progresses_to,
 )
-from upto.lts import _violations
+import upto.lts
+from upto.lts import _row_walk, _violations
 
 from helpers import (
     all_relations,
@@ -301,6 +302,45 @@ class TestBitsetKernel:
         bisim, bisim_matrix = _bisimilarity_with_matrix(lts)
         for s, _ in _kernel_targets(500 + n, n) + [(bisim, bisim_matrix)]:
             assert largest_progressing_to(lts, s) == matrix_largest_progressing_to(lts, s)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_row_walk_rejects_exactly_the_qs_with_unmatched_moves(self, n):
+        lts = _kernel_system(600 + n, n)
+        bisim, bisim_matrix = _bisimilarity_with_matrix(lts)
+        for s, smat in _kernel_targets(700 + n, n) + [(bisim, bisim_matrix)]:
+            for p in range(n):
+                moves = []
+                listed = _row_walk(lts, s, p, range(n), moves)
+                stopped = _row_walk(lts, s, p, range(n))
+                assert listed == stopped
+                assert {v.pair for v in moves} == {(p, q) for q in range(n) if stopped >> q & 1}
+                if n <= 9:
+                    pairs = [(p, q) for q in range(n)]
+                    assert moves == list(scalar_violations(lts, pairs, smat))
+
+    def test_row_walk_appends_to_the_given_list(self):
+        lts = _kernel_system(3, 9)
+        s = Relation.empty(9)
+        moves = list(_violations(lts, [(8, 0)], s))
+        before = list(moves)
+        rejected = _row_walk(lts, s, 0, [8, 3], moves)
+        assert moves[: len(before)] == before
+        assert {v.pair for v in moves[len(before):]} == {(0, q) for q in (8, 3) if rejected >> q & 1}
+
+    def test_largest_and_holds_start_no_violation_generator(self, monkeypatch):
+        lts = _kernel_system(11, 9)
+        expected = [
+            (largest_progressing_to(lts, s), progress_holds(lts, s, s))
+            for s, _ in _kernel_targets(12, 9)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("per-pair generator started")
+
+        monkeypatch.setattr(upto.lts, "_violations", refuse)
+        for (s, _), (largest, holds) in zip(_kernel_targets(12, 9), expected):
+            assert largest_progressing_to(lts, s) == largest == matrix_largest_progressing_to(lts, s)
+            assert progress_holds(lts, s, s) == holds
 
     def test_walks_pairs_in_the_given_order(self):
         lts = _kernel_system(3, 9)

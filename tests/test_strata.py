@@ -171,6 +171,26 @@ class TestDepth:
                     assert seq.depth(Relation.from_pairs(n, [(p, q)])) == last, (lts, p, q)
 
 
+class TestStratumSize:
+    def test_sizes_are_block_sums_equal_to_a_popcount(self):
+        rng = random.Random(2024)
+        systems = [build_T(n).lts for n in range(31)]
+        for _ in range(30):
+            n = rng.randint(1, 60)
+            systems.append(random_lts(rng, n, rng.randint(1, 3), rng.uniform(0.5, 3.0) / n))
+        for lts in systems:
+            seq = compute_strata(lts)
+            for k in range(seq.epsilon + 1):
+                r = seq.stratum(k)
+                # supplied by the stratum, not counted by len
+                assert r._size == sum(row.bit_count() for row in r.row_bits) == len(r)
+
+    def test_len_counts_once(self):
+        r = Relation.from_pairs(70, [(69, 0), (3, 64), (3, 3)])
+        assert r._size is None
+        assert len(r) == 3 and r._size == 3
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(small_lts(max_states=4))
