@@ -9,26 +9,33 @@ run doubles as a soundness test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .companion import UpToFunction, lrf_function
-from .lts import Lts, ProgressDiagnosis, Relation, progresses_to
+from .lts import Lts, ProgressDiagnosis, Relation, Validated, progresses_to
 from .strata import StrataSequence, compute_strata
 
 CONTAINED = "contained_in_bisimilarity"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ProofReport:
-    relation_name: str
-    function_name: str
-    progression_holds: bool
-    conclusion: str
-    diagnosis: ProgressDiagnosis
-    cross_check: bool
+class ProofReport(
+    Validated,
+    NamedTuple(
+        "ProofReport",
+        [
+            ("relation_name", str),
+            ("function_name", str),
+            ("progression_holds", bool),
+            ("conclusion", str),
+            ("diagnosis", ProgressDiagnosis),
+            ("cross_check", bool),
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.conclusion not in (CONTAINED, INCONCLUSIVE):
             raise ValueError(f"unknown conclusion {self.conclusion!r}")
 

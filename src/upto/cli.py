@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 a check failed (inconclusive proof, failed
 verification), 2 parse or validation errors.
+
+Start-up is most of a short run, so a command loads only what it uses:
+``upto.lattice`` is imported by ``lattice-companion`` (and the lattice
+parsers), ``upto.verify`` and its samplers by ``verify``.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ from .formats import (
     resolve_relation,
 )
 from .gallery import build_T, verify_gallery
-from .lattice import companion_at, z_chain
 from .strata import compute_strata
-from .verify import run_verification
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -118,6 +120,8 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_lattice_companion(args) -> int:
+    from .lattice import companion_at, z_chain
+
     lattice = parse_lattice(_read(args.lattice))
     progression = parse_progression(_read(args.progression), lattice)
     chain = z_chain(lattice, progression)
@@ -128,6 +132,13 @@ def _cmd_lattice_companion(args) -> int:
         t = companion_at(lattice, progression, chain, x)
         print(f"companion({lattice.elements[x]}) = {lattice.elements[t]}")
     return OK
+
+
+def run_verification(seed: int, samples: int):
+    """``upto.verify.run_verification``, imported at the first call."""
+    from .verify import run_verification
+
+    return run_verification(seed=seed, samples=samples)
 
 
 def _cmd_verify(args) -> int:

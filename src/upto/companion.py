@@ -9,19 +9,17 @@ sample-based checks for respectfulness and for dominance of the catalog.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .lts import Lts, ProgressDiagnosis, Relation, progress_holds, progresses_to
+from .lts import Lts, ProgressDiagnosis, Relation, Validated, progress_holds, progresses_to
 from .strata import StrataSequence
 
 # images remembered by each of the catalog's upto_bisim and union_bisim
 CATALOG_MEMO = 128
 
 
-@dataclass(frozen=True)
-class UpToFunction:
+class UpToFunction(NamedTuple):
     """A named function from relations to relations over one fixed LTS.
 
     trusted marks functions whose soundness the checker may rely on: the
@@ -40,36 +38,40 @@ class UpToFunction:
         return out
 
 
-@dataclass(frozen=True)
-class RespectfulnessCounterexample:
+class RespectfulnessCounterexample(NamedTuple):
     r: Relation
     s: Relation
     clause: str  # "inclusion" or "progression"
     diagnosis: Optional[ProgressDiagnosis]
 
 
-@dataclass(frozen=True)
-class RespectfulnessVerdict:
-    holds_on_samples: bool
-    counterexample: Optional[RespectfulnessCounterexample]
-    samples_checked: int
-    samples_skipped: int
+class RespectfulnessVerdict(
+    Validated,
+    NamedTuple(
+        "RespectfulnessVerdict",
+        [
+            ("holds_on_samples", bool),
+            ("counterexample", Optional[RespectfulnessCounterexample]),
+            ("samples_checked", int),
+            ("samples_skipped", int),
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.holds_on_samples != (self.counterexample is None):
             raise ValueError("counterexample must be present iff the verdict fails")
 
 
-@dataclass(frozen=True)
-class DominanceCounterexample:
+class DominanceCounterexample(NamedTuple):
     r: Relation
     function_name: str
     image: Relation
     bound: Relation
 
 
-@dataclass(frozen=True)
-class DominanceVerdict:
+class DominanceVerdict(NamedTuple):
     holds: bool
     counterexample: Optional[DominanceCounterexample]
     samples_checked: int

@@ -14,11 +14,14 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .lattice import FiniteLattice, LatticeProgression, validate_lattice
-from .lts import Lts, Relation
+from .lts import Lts, Relation, Validated
+
+# upto.lattice is imported by parse_lattice and parse_progression only, so
+# the commands on transition systems start without it
+if TYPE_CHECKING:
+    from .lattice import FiniteLattice, LatticeProgression
 
 
 class AutParseError(ValueError):
@@ -40,12 +43,20 @@ _EDGE_RE = re.compile(r"^\(\s*(\d+)\s*,\s*\"(.*)\"\s*,\s*(\d+)\s*\)\s*$", re.ASC
 MAX_RENDERED_PAIRS = 10**6
 
 
-@dataclass(frozen=True)
-class AutDocument:
-    header: tuple[int, int, int]  # (initial state, transition count, state count)
-    body: tuple[tuple[int, str, int], ...]
+class AutDocument(
+    Validated,
+    NamedTuple(
+        "AutDocument",
+        [
+            # (initial state, transition count, state count)
+            ("header", tuple[int, int, int]),
+            ("body", tuple[tuple[int, str, int], ...]),
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         initial, m, n = self.header
         if len(self.body) != m:
             raise ValueError("transition count in header does not match body")
@@ -111,8 +122,7 @@ def _is_one_line(value) -> bool:
     return isinstance(value, str) and value.splitlines() in ([], [value])
 
 
-@dataclass(frozen=True)
-class RelationDocument:
+class RelationDocument(NamedTuple):
     pairs: tuple[tuple[str, str], ...]
     name: Optional[str] = None
 
@@ -196,8 +206,7 @@ def render_relation(r: Relation, names: Optional[tuple[str, ...]] = None) -> str
     return "{" + ", ".join(f"({names[p]},{names[q]})" for p, q in r.pairs) + "}"
 
 
-@dataclass(frozen=True)
-class LatticeDocument:
+class LatticeDocument(NamedTuple):
     elements: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
     kind: str  # "cover" or "leq"
@@ -232,6 +241,8 @@ def parse_lattice_document(text: str) -> LatticeDocument:
 
 def parse_lattice(text: str) -> FiniteLattice:
     """Parse and validate a lattice; cover input is closed before validation."""
+    from .lattice import validate_lattice
+
     doc = parse_lattice_document(text)
     index = {name: i for i, name in enumerate(doc.elements)}
     m = len(doc.elements)
@@ -248,6 +259,8 @@ def parse_lattice(text: str) -> FiniteLattice:
 
 def parse_progression(text: str, lattice: FiniteLattice) -> LatticeProgression:
     """Parse a relation over lattice elements and validate it as a progression."""
+    from .lattice import LatticeProgression
+
     doc = parse_relation_document(text)
     try:
         pairs = [(lattice.index(a), lattice.index(b)) for a, b in doc.pairs]

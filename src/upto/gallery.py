@@ -8,37 +8,51 @@ index works for all systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .lts import Lts
+from .lts import Lts, Validated
 from .strata import compute_strata
 
 GALLERY_LABEL = "t"
+# transitions of the largest T_n built: T_1413 has 998,991, T_1414 1,000,405
+MAX_GALLERY_TRANSITIONS = 10**6
 
 
-@dataclass(frozen=True)
-class OrdinalLts:
+class OrdinalLts(NamedTuple):
     """T_n: states 0..n, one label, i -> j iff i > j."""
 
     n: int
     lts: Lts
 
 
-@dataclass(frozen=True)
-class GalleryVerdict:
-    passed: bool
-    checked: int
-    discrepancy: Optional[str]
+class GalleryVerdict(
+    Validated,
+    NamedTuple(
+        "GalleryVerdict",
+        [("passed", bool), ("checked", int), ("discrepancy", Optional[str])],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.passed != (self.discrepancy is None):
             raise ValueError("discrepancy must be present iff the verdict fails")
 
 
-def build_T(n: int) -> OrdinalLts:
+def _within_budget(n: int) -> None:
+    """Refuse T_n before building it when its n(n+1)/2 transitions exceed
+    MAX_GALLERY_TRANSITIONS; the count is arithmetic, so any n is checked."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    count = n * (n + 1) // 2
+    if count > MAX_GALLERY_TRANSITIONS:
+        raise ValueError(
+            f"T_{n} has {count} transitions; at most {MAX_GALLERY_TRANSITIONS} are built"
+        )
+
+
+def build_T(n: int) -> OrdinalLts:
+    _within_budget(n)
     names = [str(i) for i in range(n + 1)]
     triples = [(i, GALLERY_LABEL, j) for i in range(n + 1) for j in range(i)]
     return OrdinalLts(n=n, lts=Lts(names, triples))
@@ -51,6 +65,9 @@ def verify_gallery(n: int) -> GalleryVerdict:
     one past the convergence index (stability covers the rest).  On T_{n+1}:
     the pair (n, n+1) survives stratum n but not stratum n+1.
     """
+    # the sign of n first, then the budget of the larger system, T_{n+1}
+    _within_budget(n)
+    _within_budget(n + 1)
     seq = compute_strata(build_T(n).lts)
     checked = 0
     for a in range(n + 1):

@@ -20,11 +20,10 @@ library uses no numpy; ``FiniteLattice.leq`` is a numpy view on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .lts import Lts, Relation, largest_progressing_to
+from .lts import Lts, Relation, Validated, largest_progressing_to
 
 
 class LatticeValidationError(ValueError):
@@ -189,15 +188,13 @@ def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
     return FiniteLattice(names, order, join_table, meet_table, top, bottom)
 
 
-@dataclass(frozen=True)
-class ProgressionViolation:
+class ProgressionViolation(NamedTuple):
     condition: int  # 1 = order closure, 2 = join of pre-image
     pair: tuple[int, int]
     description: str
 
 
-@dataclass(frozen=True)
-class ProgressionVerdict:
+class ProgressionVerdict(NamedTuple):
     holds: bool
     violations: tuple[ProgressionViolation, ...]
     violation_count: int  # total found; violations may be truncated
@@ -288,14 +285,14 @@ def close_to_progression(lattice: FiniteLattice, seed) -> LatticeProgression:
         rel = new
 
 
-@dataclass(frozen=True)
-class LatticeChain:
+class LatticeChain(
+    Validated, NamedTuple("LatticeChain", [("zs", tuple[int, ...]), ("stable_index", int)])
+):
     """The decreasing chain from the top, stored up to its stable point."""
 
-    zs: tuple[int, ...]
-    stable_index: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.stable_index != len(self.zs) - 1:
             raise ValueError("stable_index must index the last stored chain element")
 
@@ -440,8 +437,7 @@ def brute_force_largest(
     return best
 
 
-@dataclass(frozen=True)
-class MonotoneClassification:
+class MonotoneClassification(NamedTuple):
     """How the two function classes relate on one progression; report only."""
 
     n_monotone: int

@@ -28,19 +28,35 @@ at most n/8 bytes per state and label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import and_, index, itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Label:
+class Validated:
+    """Base for a NamedTuple record whose fields obey an invariant: the
+    record's ``_check`` runs on every construction, ``_make`` and
+    ``_replace`` included, and raises ValueError when the invariant fails.
+    Subclasses declare ``__slots__ = ()`` so a record stays a bare tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Label(Validated, NamedTuple("Label", [("text", str)])):
     """A transition label; equal iff the texts are equal."""
 
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.text:
             raise ValueError("label text must be non-empty")
         # a line break would split the label's line in an .aut file
@@ -355,12 +371,16 @@ class ProgressViolation(NamedTuple):
     target: int
 
 
-@dataclass(frozen=True)
-class ProgressDiagnosis:
-    holds: bool
-    violations: tuple[ProgressViolation, ...]
+class ProgressDiagnosis(
+    Validated,
+    NamedTuple(
+        "ProgressDiagnosis",
+        [("holds", bool), ("violations", tuple[ProgressViolation, ...])],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.holds != (len(self.violations) == 0):
             raise ValueError("holds must be true iff there are no violations")
 

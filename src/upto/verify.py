@@ -15,9 +15,9 @@ line to ``CHECKS``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .companion import catalog, check_lrf_largest, lrf, lrf_function
 from .formats import parse_aut, render_aut
@@ -55,20 +55,21 @@ from .strata import StrataSequence, compute_strata
 GALLERY_MAX = 8
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     cases: int
     detail: str = ""
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """The report of one run; checks and info are given as fresh lists (a
+    list default would be one list shared by every report)."""
+
     seed: int
     samples: int
-    checks: list[CheckResult] = field(default_factory=list)
-    info: list[str] = field(default_factory=list)
+    checks: list[CheckResult]
+    info: list[str]
 
     @property
     def all_passed(self) -> bool:
@@ -468,7 +469,7 @@ def run_verification(seed: int = 0, samples: int = 200) -> VerificationReport:
     if samples < 1:
         raise ValueError("samples must be positive")
     suite = _Suite(seed, samples)
-    report = VerificationReport(seed=seed, samples=samples)
+    report = VerificationReport(seed, samples, [], [])
     for name, check in CHECKS:
         cases, failure = 0, None
         for step_cases, failure in check(suite):

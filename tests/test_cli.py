@@ -313,6 +313,35 @@ class TestErrorsAndPlumbing:
         code, out, err = run_cli(capsys, "gallery", "-1")
         assert (code, out, err) == (2, "", "error: n must be non-negative\n")
 
+    # --verify on T_n also builds T_{n+1}
+    @pytest.mark.parametrize(
+        "argv, n", [(["1414"], 1414), (["1413", "--verify"], 1414), (["1414", "--verify"], 1414)]
+    )
+    def test_gallery_past_the_transition_budget(self, capsys, argv, n):
+        code, out, err = run_cli(capsys, "gallery", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: T_{n} has {n * (n + 1) // 2} transitions; at most 1000000 are built\n"
+
+    def test_gallery_of_a_huge_n_exits_at_once(self, capsys):
+        n = 10**40
+        code, out, err = run_cli(capsys, "gallery", str(n))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: T_{n} has ") and err.endswith(" at most 1000000 are built\n")
+
+    def test_gallery_at_the_transition_budget(self, capsys, monkeypatch):
+        # T_3 has 6 transitions and T_4 10: under a budget of 6, T_3 is the
+        # largest system gallery emits and gallery 2 --verify the largest check
+        monkeypatch.setattr("upto.gallery.MAX_GALLERY_TRANSITIONS", 6)
+        code, out, _ = run_cli(capsys, "gallery", "3")
+        assert (code, out.splitlines()[0]) == (0, "des (0,6,4)")
+        assert run_cli(capsys, "gallery", "2", "--verify")[0] == 0
+        assert run_cli(capsys, "gallery", "4") == (
+            2, "", "error: T_4 has 10 transitions; at most 6 are built\n"
+        )
+        assert run_cli(capsys, "gallery", "3", "--verify") == (
+            2, "", "error: T_4 has 10 transitions; at most 6 are built\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "strata", "/nonexistent/x.aut")
         assert code == 2

@@ -1,7 +1,7 @@
 import pytest
 
 from upto import compute_strata
-from upto.gallery import GalleryVerdict, build_T, verify_gallery
+from upto.gallery import MAX_GALLERY_TRANSITIONS, GalleryVerdict, build_T, verify_gallery
 
 
 class TestBuildT:
@@ -59,3 +59,36 @@ class TestVerifyGallery:
     def test_verdict_invariant(self):
         with pytest.raises(ValueError):
             GalleryVerdict(passed=True, checked=1, discrepancy="boom")
+
+
+class TestTransitionBudget:
+    # T_n has n(n+1)/2 transitions: 1413 is the largest n within 10^6
+    LIMIT = 1413
+
+    def test_limit_is_the_largest_n_within_the_budget(self):
+        assert MAX_GALLERY_TRANSITIONS == 10**6
+        n = self.LIMIT
+        assert n * (n + 1) // 2 <= MAX_GALLERY_TRANSITIONS < (n + 1) * (n + 2) // 2
+
+    @pytest.fixture
+    def no_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a system past the budget")
+
+        monkeypatch.setattr("upto.gallery.Lts", refuse)
+        monkeypatch.setattr("upto.gallery.compute_strata", refuse)
+
+    @pytest.mark.parametrize("n", [LIMIT + 1, 10**6, 10**30])
+    def test_past_the_limit_fails_before_building(self, n, no_building):
+        message = f"T_{n} has {n * (n + 1) // 2} transitions; at most 1000000 are built"
+        with pytest.raises(ValueError) as error:
+            build_T(n)
+        assert str(error.value) == message
+        with pytest.raises(ValueError) as error:
+            verify_gallery(n)
+        assert str(error.value) == message
+
+    def test_verify_checks_the_larger_system_first(self, no_building):
+        # verify_gallery(n) also builds T_{n+1}
+        with pytest.raises(ValueError, match=f"^T_{self.LIMIT + 1} has 1000405 transitions"):
+            verify_gallery(self.LIMIT)
