@@ -173,15 +173,22 @@ def is_respectful_on_samples(
 
 
 def check_lrf_largest(
-    seq: StrataSequence, f: UpToFunction, rs: list[Relation]
+    seq: StrataSequence, functions: list[UpToFunction], rs: list[Relation]
 ) -> DominanceVerdict:
-    """Assert f(r) lands inside lrf(r) for every sampled r.
+    """Assert f(r) lands inside lrf(r) for every function f and sampled r.
 
-    Any violation is a bug: every respectful function is dominated by the
-    largest one.
+    Each bound lrf(r) is computed once for all the functions.  The check
+    walks the functions in order, each over all of rs, and stops at the
+    first violation; ``samples_checked`` counts the (function, relation)
+    pairs checked.  Any violation is a bug: every respectful function is
+    dominated by the largest one.
     """
-    for checked, r in enumerate(rs, start=1):
-        image, bound = f(r), lrf(seq, r)
-        if not image.is_subset(bound):
-            return DominanceVerdict(False, DominanceCounterexample(r, f.name, image, bound), checked)
-    return DominanceVerdict(True, None, len(rs))
+    bounds = [lrf(seq, r) for r in rs]
+    checked = 0
+    for f in functions:
+        for r, bound in zip(rs, bounds):
+            checked += 1
+            image = f(r)
+            if not image.is_subset(bound):
+                return DominanceVerdict(False, DominanceCounterexample(r, f.name, image, bound), checked)
+    return DominanceVerdict(True, None, checked)

@@ -130,10 +130,10 @@ def test_criterion_4_lrf_dominates_catalog():
             lts = random_lts(rng, rng.randint(1, 5), rng.randint(1, 2), rng.uniform(0.15, 0.6))
             seq = compute_strata(lts)
             rs = [random_relation(rng, lts.n_states) for _ in range(1000)]
-            for f in catalog(lts, seq):
-                verdict = check_lrf_largest(seq, f, rs)
-                assert verdict.holds, verdict.counterexample
-                assert verdict.samples_checked == 1000
+            functions = catalog(lts, seq)
+            verdict = check_lrf_largest(seq, functions, rs)
+            assert verdict.holds, verdict.counterexample
+            assert verdict.samples_checked == 1000 * len(functions)
             systems += 1
         assert systems >= 50
 

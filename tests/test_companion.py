@@ -174,8 +174,9 @@ class TestLrfLargest:
         rng = random.Random(9)
         rs = [random_relation(rng, 3) for _ in range(100)]
         fns = {f.name: f for f in catalog(t2, t2_seq)}
-        assert check_lrf_largest(t2_seq, fns["identity"], rs).holds
-        assert check_lrf_largest(t2_seq, fns["const_bisim"], rs).holds
+        verdict = check_lrf_largest(t2_seq, [fns["identity"], fns["const_bisim"]], rs)
+        assert verdict.holds
+        assert verdict.samples_checked == 2 * len(rs)
 
     def test_upto_bisim_single_pair_example(self, t2, t2_seq):
         r = Relation.from_pairs(3, [(1, 2)])
@@ -187,9 +188,35 @@ class TestLrfLargest:
         # a function escaping every stratum except the full one
         f = UpToFunction("blowup", t2, lambda r: Relation.full(3))
         r = Relation.from_pairs(3, [(1, 2)])  # lrf(r) = stratum 1, full escapes it
-        verdict = check_lrf_largest(t2_seq, f, [r])
+        verdict = check_lrf_largest(t2_seq, [f], [r])
         assert not verdict.holds
         assert verdict.counterexample.function_name == "blowup"
+
+    def test_stops_at_the_first_violation(self, t2, t2_seq):
+        # functions outside, relations inside: the count names the failing pair
+        identity = catalog(t2, t2_seq)[0]
+        blowup = UpToFunction("blowup", t2, lambda r: Relation.full(3))
+        rs = [Relation.full(3), Relation.full(3), Relation.from_pairs(3, [(1, 2)]), Relation.empty(3)]
+        verdict = check_lrf_largest(t2_seq, [identity, blowup, identity], rs)
+        assert not verdict.holds
+        assert verdict.samples_checked == len(rs) + 3
+        assert verdict.counterexample.r == rs[2]
+        assert verdict.counterexample.bound == lrf(t2_seq, rs[2])
+
+    def test_computes_each_bound_once(self, t2, t2_seq, monkeypatch):
+        calls = []
+
+        def counted(seq, r):
+            calls.append(r)
+            return lrf(seq, r)
+
+        monkeypatch.setattr("upto.companion.lrf", counted)
+        rng = random.Random(3)
+        rs = [random_relation(rng, 3) for _ in range(10)]
+        functions = catalog(t2, t2_seq)
+        verdict = check_lrf_largest(t2_seq, functions, rs)
+        assert verdict.holds and verdict.samples_checked == len(functions) * len(rs)
+        assert calls == rs
 
     @settings(max_examples=25, deadline=None)
     @given(small_lts(max_states=4))
@@ -197,8 +224,7 @@ class TestLrfLargest:
         seq = compute_strata(lts)
         rng = random.Random(13)
         rs = [random_relation(rng, lts.n_states) for _ in range(20)]
-        for f in catalog(lts, seq):
-            assert check_lrf_largest(seq, f, rs).holds
+        assert check_lrf_largest(seq, catalog(lts, seq), rs).holds
 
 
 class TestLrfProperties:
