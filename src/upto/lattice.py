@@ -3,10 +3,14 @@
 A progression is a relation on a lattice that is closed under the order on
 both sides and contains the join of each pre-image.  Iterating "join of the
 pre-image" from the top yields a decreasing chain; the companion maps each
-element to the deepest chain member above it.  Brute-force enumeration over
-all endofunctions provides the oracle that the companion is the largest
+element to the deepest chain member above it.  Both are written once, over
+any top, step, order and meet (``descending_chain``, ``chain_companion``): a
+``FiniteLattice`` is one instance, and the relations of an ``Lts``, stepping
+by ``largest_progressing_to`` from the full relation, are another, whose
+chain is the strata and whose companion is ``lrf``.  Brute-force enumeration
+over all endofunctions provides the oracle that the companion is the largest
 function in both the order-and-relation-monotone sense and the compatible
-sense, and a powerset construction bridges back to the relation world.
+sense.
 
 Every relation on lattice elements is a row-bitset ``Relation`` of ``lts``:
 the order of a ``FiniteLattice`` (row i is the up-set of i, column i its
@@ -20,10 +24,13 @@ library uses no numpy; ``FiniteLattice.leq`` is a numpy view on request.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import index
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
-from .lts import Lts, Relation, Validated, largest_progressing_to
+from .lts import Relation, Validated
+
+_T = TypeVar("_T")  # a lattice element
 
 
 class LatticeValidationError(ValueError):
@@ -302,21 +309,35 @@ def _same_lattice(lattice: FiniteLattice, progression: LatticeProgression) -> No
         raise ValueError("progression was built on a different lattice")
 
 
+def descending_chain(
+    top: _T, step: Callable[[_T], _T], le: Callable[[_T, _T], bool]
+) -> tuple[_T, ...]:
+    """Iterate step from top until it stabilizes: the chain top, step(top),
+    ... up to its first fixed point, each member strictly below the one
+    before.  Raises RuntimeError when a step does not go down."""
+    zs = [top]
+    while True:
+        z = step(zs[-1])
+        if z == zs[-1]:
+            return tuple(zs)
+        if not le(z, zs[-1]):
+            raise RuntimeError("chain failed to decrease; progression conditions are inconsistent")
+        zs.append(z)
+
+
+def chain_companion(
+    zs: Sequence[_T], x: _T, le: Callable[[_T, _T], bool], meet: Callable[[_T, _T], _T]
+) -> _T:
+    """The companion at x: the meet of the members of the chain zs above x.
+    A chain from the top has the top above every x."""
+    return reduce(meet, [z for z in zs if le(x, z)])
+
+
 def z_chain(lattice: FiniteLattice, progression: LatticeProgression) -> LatticeChain:
     """Iterate join-of-pre-image from the top until it stabilizes."""
     _same_lattice(lattice, progression)
-    s = progression.s_vector
-    z = lattice.top
-    zs = [z]
-    while True:
-        nz = s[z]
-        if nz == z:
-            break
-        if not lattice.le(nz, z):
-            raise RuntimeError("chain failed to decrease; progression conditions are inconsistent")
-        zs.append(nz)
-        z = nz
-    return LatticeChain(zs=tuple(zs), stable_index=len(zs) - 1)
+    zs = descending_chain(lattice.top, progression.s_vector.__getitem__, lattice.le)
+    return LatticeChain(zs=zs, stable_index=len(zs) - 1)
 
 
 def companion_at(
@@ -327,7 +348,7 @@ def companion_at(
 ) -> int:
     """Meet of all chain elements above x: the deepest stratum containing x."""
     _same_lattice(lattice, progression)
-    return lattice.meet_all(z for z in chain.zs if lattice.le(x, z))
+    return chain_companion(chain.zs, x, lattice.le, lattice.meet)
 
 
 def _function_row(lattice: FiniteLattice, f: Sequence[int]) -> tuple[int, ...]:
@@ -531,54 +552,9 @@ def m3_lattice() -> FiniteLattice:
     return validate_lattice(names, pairs)
 
 
-# Bridge: the relation world as a powerset lattice.
-
-BRIDGE_STATE_CAP = 3
-
-
-def relation_element_name(n: int, mask: int) -> str:
-    return "{" + ",".join(f"({p},{q})" for p, q in element_relation(n, mask).pairs) + "}"
-
-
-def relation_element_index(r: Relation) -> int:
-    """Bitmask position of a relation in the powerset lattice (row-major
-    pairs): its row bitsets, concatenated."""
-    n = r.n_states
-    return sum(row << (p * n) for p, row in enumerate(r.row_bits))
-
-
 def element_relation(n_states: int, index: int) -> Relation:
-    """Inverse of relation_element_index."""
+    """The relation on n_states states whose pairs are the set bits of index,
+    pairs in row-major order: its row bitsets, concatenated."""
     full = (1 << n_states) - 1
     rows = tuple(index >> (p * n_states) & full for p in range(n_states))
     return Relation._from_rows(n_states, rows)
-
-
-def lts_to_lattice(
-    lts: Lts, max_states: int = BRIDGE_STATE_CAP
-) -> tuple[FiniteLattice, LatticeProgression]:
-    """All relations over the LTS as a lattice, with progress as the progression.
-
-    Element i is the relation whose member pairs are the set bits of i under
-    row-major pair order.  The relation of the progression holds between X
-    and S exactly when X progresses to S, that is when X lies below the
-    largest relation progressing to S: column S of the progression is the
-    down-set of that relation.  Both progression conditions are re-validated
-    on the result.
-    """
-    if max_states > BRIDGE_STATE_CAP:
-        raise ValueError(f"bridge construction is capped at {BRIDGE_STATE_CAP} states")
-    n = lts.n_states
-    if n > max_states:
-        raise ValueError(f"LTS has {n} states; bound is {max_states}")
-    m = 1 << (n * n)
-
-    names = [relation_element_name(n, mask) for mask in range(m)]
-    lattice = validate_lattice(names, _inclusion(n * n))
-    down = lattice.order.column_bits
-    columns = tuple(
-        down[relation_element_index(largest_progressing_to(lts, element_relation(n, s)))]
-        for s in range(m)
-    )
-    progression = LatticeProgression(lattice, Relation._from_rows(m, columns).converse())
-    return lattice, progression

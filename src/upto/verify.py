@@ -19,7 +19,7 @@ import marshal
 import os
 import random
 import sys
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import NamedTuple, NoReturn
 
@@ -29,19 +29,19 @@ from .gallery import build_T, verify_gallery
 from .lattice import (
     FiniteLattice,
     brute_force_largest,
+    chain_companion,
     chain_lattice,
     classify_monotone_functions,
     companion_at,
+    descending_chain,
     diamond_lattice,
     element_relation,
     is_compatible,
     is_monotone,
     is_r_monotone,
-    lts_to_lattice,
     m3_lattice,
     pentagon_lattice,
     powerset_lattice,
-    relation_element_index,
     z_chain,
 )
 from .checker import CONTAINED, check_companion, check_upto
@@ -381,22 +381,23 @@ def _largest_coincidence(suite: _Suite, rng: random.Random):
 
 
 def _bridge_agreement(suite: _Suite, rng: random.Random):
-    bridge_systems = [build_T(1).lts]
-    bridge_systems += [l for (l, _s) in suite.systems if l.n_states <= 2][:3]
-    for lts in bridge_systems:
-        lat, prog = lts_to_lattice(lts, max_states=2)
-        chain = z_chain(lat, prog)
-        seq = compute_strata(lts)
-        for k in range(max(chain.stable_index, seq.epsilon) + 2):
-            z = chain.zs[min(k, chain.stable_index)]
-            ok = z == relation_element_index(seq.stratum(k))
+    # the companion on the powerset of pairs: the chain of largest_progressing_to
+    # from the full relation is the strata, and its companion is lrf
+    t1 = build_T(1).lts
+    systems = [(t1, compute_strata(t1)), *suite.systems]
+    per_system = _clamp(suite.samples // len(systems), 5, 100)
+    for lts, seq in systems:
+        n = lts.n_states
+        zs = descending_chain(
+            Relation.full(n), partial(largest_progressing_to, lts), Relation.is_subset
+        )
+        for k in range(max(len(zs) - 1, seq.epsilon) + 2):
+            ok = zs[min(k, len(zs) - 1)] == seq.stratum(k)
             yield 1, None if ok else f"chain mismatch at {k} on {lts!r}"
-        for mask in range(lat.size):
-            r = element_relation(lts.n_states, mask)
-            ok = companion_at(lat, prog, chain, mask) == relation_element_index(lrf(seq, r))
-            yield 2, None if ok else f"companion mismatch on {lts!r}"
-            ok = prog.s_vector[mask] == relation_element_index(largest_progressing_to(lts, r))
-            yield 0, None if ok else f"s mismatch on {lts!r}"
+        rs = [random_relation(rng, n) for _ in range(per_system)] if n > 2 else _all_relations(n)
+        for r in rs:
+            ok = chain_companion(zs, r, Relation.is_subset, Relation.intersect) == lrf(seq, r)
+            yield 1, None if ok else f"companion mismatch on {lts!r}"
 
 
 def _aut_round_trip(suite: _Suite, rng: random.Random):

@@ -11,7 +11,9 @@ helpers sweep every relation on a small state space or every endofunction of
 a small lattice, one function at a time.  The reference_* samplers are the
 samplers as first written, pair by pair through generators and
 Relation.from_pairs; the library's samplers must draw the same numbers in the
-same order and return the same relations.
+same order and return the same relations.  lts_to_lattice tabulates the
+relations of a system as a powerset lattice with progress as its
+progression, the oracle of the library's companion on relations.
 """
 
 import itertools
@@ -19,9 +21,9 @@ import itertools
 import hypothesis.strategies as st
 import numpy as np
 
-from upto import Lts, Relation
-from upto.lattice import MonotoneClassification
-from upto.lts import ProgressViolation
+from upto import LatticeProgression, Lts, Relation, element_relation, validate_lattice
+from upto.lattice import MonotoneClassification, _inclusion
+from upto.lts import ProgressViolation, largest_progressing_to
 
 
 def refinement_strata(lts):
@@ -144,6 +146,40 @@ def all_relations(n):
             Relation.from_pairs(n, [pairs[k] for k in range(n * n) if mask >> k & 1])
         )
     return out
+
+
+def relation_element_name(n, mask):
+    return "{" + ",".join(f"({p},{q})" for p, q in element_relation(n, mask).pairs) + "}"
+
+
+def relation_element_index(r):
+    """Bitmask position of a relation in the powerset lattice (row-major
+    pairs): its row bitsets, concatenated; element_relation inverts it."""
+    n = r.n_states
+    return sum(row << (p * n) for p, row in enumerate(r.row_bits))
+
+
+def lts_to_lattice(lts):
+    """All relations over the LTS as a lattice, with progress as the progression.
+
+    Element i is the relation whose member pairs are the set bits of i under
+    row-major pair order, so the lattice has 2^(n²) elements: 512 at n = 3.
+    The relation of the progression holds between X and S exactly when X
+    progresses to S, that is when X lies below the largest relation
+    progressing to S: column S of the progression is the down-set of that
+    relation.  Both progression conditions are re-validated on the result.
+    """
+    n = lts.n_states
+    m = 1 << (n * n)
+    names = [relation_element_name(n, mask) for mask in range(m)]
+    lattice = validate_lattice(names, _inclusion(n * n))
+    down = lattice.order.column_bits
+    columns = tuple(
+        down[relation_element_index(largest_progressing_to(lts, element_relation(n, s)))]
+        for s in range(m)
+    )
+    progression = LatticeProgression(lattice, Relation._from_rows(m, columns).converse())
+    return lattice, progression
 
 
 def _function_tests(lat, prog):

@@ -25,10 +25,8 @@ from upto import (
     element_relation,
     largest_progressing_to,
     lrf,
-    lts_to_lattice,
     progress_holds,
     progresses_to,
-    relation_element_index,
     z_chain,
 )
 from upto.companion import check_lrf_largest
@@ -47,7 +45,12 @@ from upto.sampling import (
     random_subrelation,
 )
 
-from helpers import all_relations, matrix_largest_progressing_to
+from helpers import (
+    all_relations,
+    lts_to_lattice,
+    matrix_largest_progressing_to,
+    relation_element_index,
+)
 
 
 @contextmanager

@@ -1,6 +1,6 @@
 import pytest
 
-from upto import compute_strata
+from upto import StrataSequence, compute_strata
 from upto.gallery import MAX_GALLERY_TRANSITIONS, GalleryVerdict, build_T, verify_gallery
 
 
@@ -55,6 +55,35 @@ class TestVerifyGallery:
     def test_consecutive_strata_differ_one_level_up(self, n):
         seq = compute_strata(build_T(n + 1).lts)
         assert seq.stratum(n) != seq.stratum(n + 1)
+
+    # T_6 has 21 pairs a < b, each tested at strata 0..6 (the planted chain
+    # stabilizes at 5) in the order a, b, stratum
+    @pytest.mark.parametrize(
+        "pad, checked, discrepancy",
+        [
+            # the padded state joins state 5: the chain is T_6's own up to
+            # stratum 5, and the last pair fails at the last stratum
+            (-1, 21 * 7, "T_6: pair (5,6) at stratum 6: expected out, got in"),
+            # the padded state joins state 0, which T_6 splits off in round 1
+            (0, 5 * 7 + 2, "T_6: pair (0,6) at stratum 1: expected out, got in"),
+        ],
+        ids=["joins-state-5", "joins-state-0"],
+    )
+    def test_planted_wrong_chain_names_the_first_discrepancy(
+        self, monkeypatch, pad, checked, discrepancy
+    ):
+        # T_6's chain replaced by T_5's, padded with state 6 in the block of
+        # state pad; T_7's chain is left alone
+        real = compute_strata
+
+        def planted(lts):
+            if lts.n_states != 7:
+                return real(lts)
+            rows = real(build_T(5).lts).blocks
+            return StrataSequence.from_blocks(lts, [row + (row[pad],) for row in rows])
+
+        monkeypatch.setattr("upto.gallery.compute_strata", planted)
+        assert verify_gallery(6) == GalleryVerdict(False, checked, discrepancy)
 
     def test_verdict_invariant(self):
         with pytest.raises(ValueError):

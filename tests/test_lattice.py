@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from upto import (
     Lts,
     Relation,
     brute_force_largest,
+    chain_companion,
     close_to_progression,
     companion_at,
     compute_strata,
+    descending_chain,
     element_relation,
     is_compatible,
     is_monotone,
@@ -20,9 +23,7 @@ from upto import (
     is_r_monotone,
     largest_progressing_to,
     lrf,
-    lts_to_lattice,
     progresses_to,
-    relation_element_index,
     validate_lattice,
     z_chain,
 )
@@ -35,13 +36,15 @@ from upto.lattice import (
     pentagon_lattice,
     powerset_lattice,
 )
-from upto.sampling import random_lattice_progression
+from upto.sampling import random_lattice_progression, random_subrelation
 
 from helpers import (
     _function_tests,
     enumerated_classification,
     enumerated_largest,
+    lts_to_lattice,
     matrix_largest_progressing_to,
+    relation_element_index,
 )
 
 STANDARD_LATTICES = (
@@ -301,6 +304,41 @@ class TestChainAndCompanion:
                 assert companion_at(lat, prog, chain, x) == containing[-1]
 
 
+def seeded_lts(n):
+    """n states, labels a and b, floor(2.4 n) distinct random edges each."""
+    rng = random.Random(f"chain:{n}")
+    triples = [(e // n, a, e % n) for a in "ab" for e in rng.sample(range(n * n), int(2.4 * n))]
+    return Lts([str(p) for p in range(n)], triples)
+
+
+class TestGenericChain:
+    """The chain and the companion on the relations of a system, past the
+    5 states of verify's suite: the strata and lrf."""
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_relation_chain_is_the_strata_and_its_companion_lrf(self, n):
+        lts = seeded_lts(n)
+        seq = compute_strata(lts)
+        zs = descending_chain(
+            Relation.full(n), partial(largest_progressing_to, lts), Relation.is_subset
+        )
+        assert zs == seq.strata
+        # sparse subrelations of strata 1..5, whose lrf is every stratum from 1
+        # to the stable one (3 on both systems)
+        rng = random.Random(n)
+        rs = [random_subrelation(rng, seq.stratum(k), 0.1) for k in range(1, 6)]
+        assert seq.epsilon == 3
+        assert {seq.depth(r) for r in rs} == {1, 2, 3}
+        for r in rs:
+            assert chain_companion(zs, r, Relation.is_subset, Relation.intersect) == lrf(seq, r)
+
+    def test_a_step_that_does_not_go_down_raises(self):
+        full, identity = Relation.full(3), Relation.identity(3)
+        step = {full: identity, identity: Relation.from_pairs(3, [(0, 1)])}.__getitem__
+        with pytest.raises(RuntimeError, match="^chain failed to decrease"):
+            descending_chain(full, step, Relation.is_subset)
+
+
 class TestFunctionClasses:
     def test_s_of_order_is_identity(self):
         lat = diamond_lattice()
@@ -518,10 +556,3 @@ class TestBridge:
             assert prog.s_vector[mask] == relation_element_index(
                 matrix_largest_progressing_to(t2, r)
             )
-
-    def test_state_cap_enforced(self):
-        big = Lts(["a", "b", "c", "d"], [])
-        with pytest.raises(ValueError):
-            lts_to_lattice(big)
-        with pytest.raises(ValueError):
-            lts_to_lattice(Lts(["a"], []), max_states=4)

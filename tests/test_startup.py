@@ -78,7 +78,7 @@ class TestStartupImports:
         assert loaded == ["upto.lattice"]
 
 
-# every name upto/__init__.py imported eagerly before the exports became lazy
+# every name upto/__init__.py exports, by the submodule that defines it
 EXPORTED = {
     "checker": "CONTAINED INCONCLUSIVE ProofReport check_companion check_upto",
     "companion": "DominanceVerdict RespectfulnessVerdict UpToFunction catalog "
@@ -87,9 +87,9 @@ EXPORTED = {
     "parse_aut parse_lattice parse_progression parse_relation render_aut render_relation",
     "gallery": "GalleryVerdict OrdinalLts build_T verify_gallery",
     "lattice": "FiniteLattice LatticeChain LatticeProgression LatticeValidationError "
-    "ProgressionVerdict brute_force_largest close_to_progression companion_at "
-    "element_relation is_compatible is_monotone is_progression is_r_monotone "
-    "lts_to_lattice relation_element_index validate_lattice z_chain",
+    "ProgressionVerdict brute_force_largest chain_companion close_to_progression "
+    "companion_at descending_chain element_relation is_compatible is_monotone "
+    "is_progression is_r_monotone validate_lattice z_chain",
     "lts": "Label Lts ProgressDiagnosis ProgressViolation Relation "
     "largest_progressing_to progress_holds progresses_to",
     "strata": "StrataSequence compute_strata",
