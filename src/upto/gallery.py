@@ -54,7 +54,7 @@ def _within_budget(n: int) -> None:
 def build_T(n: int) -> OrdinalLts:
     _within_budget(n)
     names = [str(i) for i in range(n + 1)]
-    triples = [(i, GALLERY_LABEL, j) for i in range(n + 1) for j in range(i)]
+    triples = ((i, GALLERY_LABEL, j) for i in range(n + 1) for j in range(i))
     return OrdinalLts(n=n, lts=Lts(names, triples))
 
 

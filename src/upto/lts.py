@@ -3,34 +3,37 @@
 A relation R progresses to S when every transition out of either side of a
 pair in R can be matched by the other side, with the derivative pair landing
 in S.  The two operations here are the per-pair progress test and the
-largest relation progressing to a fixed target, the general operator that
-the stratum chain (built by partition refinement in ``strata``) is tested
-against.  One row walk is the only code for the two progress clauses: it
-walks the pairs (p, q) of one left state p, for a run of q's, and returns
-the q's it rejects.  Given a list, it appends every unmatched move, which
-is the diagnosis the proof checker reports; without one, each q stops at
-its first unmatched move, which is the early-exit test.  Walked over every
-q, row p of the largest relation progressing to a target is the q's it
+largest relation progressing to a fixed target, the operator that the
+stratum chain of ``strata`` is tested against.  One row walk is the only
+code for the two progress clauses: it walks the pairs (p, q) of one left
+state p, for a run of q's, and returns the q's it rejects.  Given a list, it
+appends every unmatched move, the proof checker's diagnosis; without one,
+each q stops at its first unmatched move, the early-exit test.  Walked over
+every q, row p of the largest relation progressing to a target is the q's it
 does not reject, since such relations are closed under union.  No matrix
 product is involved, and no generator is started per pair.
 
-A relation is one int per state: bit q of ``Relation.row_bits[p]`` is set
-iff (p, q) is in it.  Its n x n numpy boolean matrix is only a view on
-request, and ``Relation(n, matrix)`` reads one; only these two load numpy.
-The walk tests each move with one AND of a row (or column) of the target
-and a successor bitset (bit q of ``Lts._successor_bits()[p][a]`` is set
-when p has an a-move to q).  A relation's q's come from its cached
-``pairs``, not from walking the bits of wide rows.  Columns are built when
-a right move first needs them; an equivalence's columns are its rows.  An
-n-state relation's rows take at most n^2/8 bytes, and the successor bitsets
-at most n/8 bytes per state and label.
+An ``Lts`` keeps its transitions once, in a successor table: ``_succ[p][a]``
+holds p's a-successors, sorted.  A relation is one int per state: bit q of
+``Relation.row_bits[p]`` is set iff (p, q) is in it.  Its n x n numpy
+boolean matrix is only a view on request, and ``Relation(n, matrix)`` reads
+one; only these two load numpy.  The walk tests each move with one AND of a
+row (or column) of the target and a successor bitset (bit q of
+``Lts._successor_bits()[p][a]`` is set when p has an a-move to q).  A
+relation's q's come from its cached ``pairs``, not from walking the bits of
+wide rows.  Columns are built when a right move first needs them; an
+equivalence's columns are its rows.  An n-state relation's rows take at most
+n^2/8 bytes, the successor bitsets n/8 bytes per state and label.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import chain, groupby
 from operator import and_, index, itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple
+
+# slots of an Lts's successor table (states x labels), and of its cached bitsets
+MAX_TABLE_SLOTS = 2 * 10**7
 
 
 class Validated:
@@ -65,15 +68,15 @@ class Label(Validated, NamedTuple("Label", [("text", str)])):
 
 
 class Lts:
-    """An immutable finite LTS: named states, interned labels, sorted transitions.
+    """An immutable finite LTS: named states, interned labels, one successor table.
 
-    Transitions are stored per source state as (label index, target) pairs,
-    deduplicated and sorted canonically.  Labels are interned in sorted text
-    order, so label index order and label text order coincide and every
-    iteration over the structure is deterministic.
+    ``_succ[p][a]`` is the sorted tuple of p's targets under label index a, one
+    slot per state and label, at most ``MAX_TABLE_SLOTS``; ``triples``, equality
+    and hashing read it.  Labels are interned in sorted text order, so label
+    index order and text order coincide and every iteration is deterministic.
     """
 
-    __slots__ = ("n_states", "state_names", "labels", "transitions", "_succ", "_succ_bits")
+    __slots__ = ("n_states", "state_names", "labels", "_succ", "_succ_bits")
 
     def __init__(self, state_names: Iterable[str], triples: Iterable[tuple[int, str, int]]):
         names = tuple(str(s) for s in state_names)
@@ -81,28 +84,24 @@ class Lts:
             raise ValueError("state names must be pairwise distinct")
         n = len(names)
 
-        triples = [(index(p), str(a), index(q)) for (p, a, q) in triples]
+        # per label text, the int p * n + q of each transition p -> q
+        codes: dict[str, list[int]] = {}
         for p, a, q in triples:
+            p, a, q = index(p), str(a), index(q)
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"transition ({p}, {a!r}, {q}) out of range for {n} states")
-        texts = sorted({a for _, a, _ in triples})
-        labels = tuple(Label(a) for a in texts)
-        label_index = {a: i for i, a in enumerate(texts)}
-
-        per_state: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-        for p, a, q in triples:
-            per_state[p].add((label_index[a], q))
-
-        object.__setattr__(self, "n_states", n)
-        object.__setattr__(self, "state_names", names)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "transitions", tuple(tuple(sorted(ts)) for ts in per_state))
-        succ = tuple(
-            tuple(tuple(q for (b, q) in self.transitions[p] if b == a) for a in range(len(labels)))
-            for p in range(n)
-        )
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_succ_bits", None)
+            codes.setdefault(a, []).append(p * n + q)
+        labels = tuple(map(Label, sorted(codes)))
+        if n * len(labels) > MAX_TABLE_SLOTS:
+            need = f"{n} states and {len(labels)} labels need {n * len(labels)} successor table"
+            raise ValueError(f"{need} slots; at most {MAX_TABLE_SLOTS} are built")
+        rows = [[()] * len(labels) for _ in range(n)]
+        for a, label in enumerate(labels):
+            # sorted codes group by source state, with targets sorted within
+            for p, moves in groupby(sorted(set(codes.pop(label.text))), n.__rfloordiv__):
+                rows[p][a] = tuple([c % n for c in moves])
+        for name, value in zip(self.__slots__, (n, names, labels, tuple(map(tuple, rows)), None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lts is immutable")
@@ -119,13 +118,15 @@ class Lts:
 
     def triples(self) -> Iterator[tuple[int, str, int]]:
         """All transitions as (source, label text, target), canonically ordered."""
-        for p in range(self.n_states):
-            for a, q in self.transitions[p]:
-                yield (p, self.labels[a].text, q)
+        texts = [label.text for label in self.labels]
+        for p, row in enumerate(self._succ):
+            for text, qs in zip(texts, row):
+                for q in qs:
+                    yield (p, text, q)
 
     @property
     def n_transitions(self) -> int:
-        return sum(len(ts) for ts in self.transitions)
+        return sum(map(len, chain.from_iterable(self._succ)))
 
     def __eq__(self, other):
         if not isinstance(other, Lts):
@@ -133,11 +134,11 @@ class Lts:
         return (
             self.state_names == other.state_names
             and self.labels == other.labels
-            and self.transitions == other.transitions
+            and self._succ == other._succ
         )
 
     def __hash__(self):
-        return hash((self.state_names, self.labels, self.transitions))
+        return hash((self.state_names, self.labels, self._succ))
 
     def __repr__(self):
         return f"Lts(states={self.n_states}, labels={len(self.labels)}, transitions={self.n_transitions})"

@@ -10,15 +10,15 @@ block-mates in round k when their sets of (label, block of target) pairs
 over the round k-1 partition agree, so round k yields exactly stratum k.
 Rounds are incremental.  When a block splits, its largest piece keeps the
 old id and only the states of the other pieces move; per-(state, label,
-block) successor counts then tell each predecessor of a moved state exactly
-which (label, block) pairs its signature gained or lost.  A state whose
-signature changed is regrouped by its old block and that change, which
-determines its new signature exactly because block-mates shared the old one.
-A state moves only into a piece at most half the size of its block, so it
-moves O(log n) times: the chain costs O(m log n) dictionary operations for
-m transitions, without numpy.  Nested partitions form a tree, and the chain
-is stored as that tree in O(n) memory; a stratum becomes a Relation when
-asked for: one row bitset per block.
+block) successor counts then tell each predecessor of a moved state, read
+off the system's one successor table, which (label, block) pairs its
+signature gained or lost.  A state whose signature changed is regrouped by
+its old block and that change, exact because block-mates shared the old
+signature.  A state moves only into a piece at most half the size of its
+block, so it moves O(log n) times: the chain costs O(m log n) dictionary
+operations for m transitions, without numpy.  Nested partitions form a tree,
+and the chain is stored as that tree in O(n) memory; a stratum becomes a
+Relation when asked for: one row bitset per block.
 """
 
 from __future__ import annotations
@@ -210,11 +210,15 @@ def compute_strata(lts: Lts) -> StrataSequence:
     n = lts.n_states
     # The signature entry (a, B) is the int a * n + B (block ids stay below
     # n), and count[p] maps it to the number of a-successors of p in block B.
+    # Predecessors: sources[q][i] has an a-move to q, and offsets[q][i] = a * n.
     offset = [a * n for a in range(len(lts.labels))]
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p, moves in enumerate(lts.transitions):
-        for a, q in moves:
-            preds[q].append((p, offset[a]))
+    sources: list[list[int]] = [[] for _ in range(n)]
+    offsets: list[list[int]] = [[] for _ in range(n)]
+    for p, row in enumerate(lts._succ):
+        for off, qs in zip(offset, row):
+            for q in qs:
+                sources[q].append(p)
+                offsets[q].append(off)
     count: list[dict[int, int]] = [{} for _ in range(n)]
 
     # the partition, refinable in place: block b holds elems[start[b]:end[b]],
@@ -229,7 +233,7 @@ def compute_strata(lts: Lts) -> StrataSequence:
     for k in itertools.count(1):
         changed: dict[int, list[int]] = {}
         for q, old, new in moved:
-            for p, off in preds[q]:
+            for p, off in zip(sources[q], offsets[q]):
                 counts = count[p]
                 entry = off + new
                 c = counts.get(entry, 0)
@@ -251,12 +255,7 @@ def compute_strata(lts: Lts) -> StrataSequence:
         pieces: dict[tuple[int, ...], list[int]] = {}
         for p, diff in changed.items():
             diff.sort()
-            key = (block[p], *diff)
-            group = pieces.get(key)
-            if group is None:
-                pieces[key] = [p]
-            else:
-                group.append(p)
+            pieces.setdefault((block[p], *diff), []).append(p)
         splits: dict[int, list[list[int]]] = {}
         for key, group in pieces.items():
             splits.setdefault(key[0], []).append(group)

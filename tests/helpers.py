@@ -35,22 +35,29 @@ def refinement_strata(lts):
     sets, so partition k equals stratum k.
     """
     n = lts.n_states
+    moves = [
+        [(a, q) for a in range(len(lts.labels)) for q in lts.successors(p, a)] for p in range(n)
+    ]
     blocks = [0] * n
     chain = [blocks]
     while True:
         numbering = {}
         new = [0] * n
         for p in range(n):
-            sig = tuple(sorted({(a, blocks[q]) for (a, q) in lts.transitions[p]}))
+            sig = tuple(sorted({(a, blocks[q]) for (a, q) in moves[p]}))
             new[p] = numbering.setdefault(sig, len(numbering))
         if new == blocks:
             break
         chain.append(new)
         blocks = new
-    return [
-        Relation.from_pairs(n, [(p, q) for p in range(n) for q in range(n) if b[p] == b[q]])
-        for b in chain
-    ]
+    # row p of a partition's relation: the states of p's block, as a bitset
+    relations = []
+    for b in chain:
+        members = {}
+        for p, block in enumerate(b):
+            members[block] = members.get(block, 0) | 1 << p
+        relations.append(Relation._from_rows(n, tuple(members[block] for block in b)))
+    return relations
 
 
 def matrix_largest_progressing_to(lts, s):

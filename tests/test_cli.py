@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from upto.cli import main
 from upto.formats import MAX_RENDERED_PAIRS
 from upto.gallery import GalleryVerdict, verify_gallery
+from upto.lts import MAX_TABLE_SLOTS
 from upto.verify import run_verification
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
@@ -487,6 +489,24 @@ class TestRenderLimit:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert f"relation has {n * n} pairs; at most {MAX_RENDERED_PAIRS} " in done.stderr
+
+
+class TestTableLimit:
+    def test_one_label_per_transition_exits_2_at_once(self, tmp_path):
+        # 5000 states and 5000 labels: a table of 25 * 10^6 slots, past the limit
+        n, aut = 5000, tmp_path / "labels.aut"
+        aut.write_text(f"des (0,{n},{n})\n" + "".join(f'({p},"a{p}",{p})\n' for p in range(n)))
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED, "bisim", str(aut)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - start < 1.0
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: 5000 states and 5000 labels need 25000000 successor table slots; "
+            f"at most {MAX_TABLE_SLOTS} are built\n"
+        )
 
 
 class TestDeepJson:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from upto import StrataSequence, compute_strata
@@ -22,12 +24,24 @@ class TestBuildT:
     def test_state_i_has_i_transitions_and_acyclic(self):
         lts = build_T(6).lts
         for i in range(7):
-            assert len(lts.transitions[i]) == i
-            assert all(target < i for (_, target) in lts.transitions[i])
+            assert lts.successors(i, 0) == tuple(range(i))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             build_T(-1)
+
+    def test_memory_per_transition(self):
+        # T_400's 80,200 transitions: one successor table and no list of triples
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lts = build_T(400).lts
+            kept, peak = (b - base for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert lts.n_transitions == 80200
+        assert kept <= 40 * 80200, kept
+        assert peak <= 200 * 80200, peak
 
 
 class TestVerifyGallery:

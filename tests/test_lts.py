@@ -70,12 +70,48 @@ class TestLtsConstruction:
 
     def test_transitions_sorted(self):
         lts = Lts(["s", "t"], [(0, "b", 1), (0, "a", 1), (0, "a", 0)])
-        assert lts.transitions[0] == ((0, 0), (0, 1), (1, 1))
+        assert list(lts.triples()) == [(0, "a", 0), (0, "a", 1), (0, "b", 1)]
 
     def test_successors(self):
         lts = Lts(["s", "t"], [(0, "a", 0), (0, "a", 1)])
         assert lts.successors(0, 0) == (0, 1)
         assert lts.successors(1, 0) == ()
+
+    def test_table_past_the_slot_limit_rejected(self, monkeypatch):
+        # one slot per state and label: 3 states and 2 labels fill a limit of 6
+        monkeypatch.setattr(upto.lts, "MAX_TABLE_SLOTS", 6)
+        assert Lts("xyz", [(0, "a", 1), (2, "b", 0)]).n_transitions == 2
+        message = "3 states and 3 labels need 9 successor table slots; at most 6 are built"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Lts("xyz", [(0, "a", 1), (2, "b", 0), (1, "c", 1)])
+
+
+class TestLtsEquality:
+    NAMES = ["s", "t", "u"]
+    TRIPLES = [(0, "a", 1), (0, "a", 2), (0, "b", 0), (1, "b", 2), (2, "a", 0)]
+
+    def test_same_transitions_in_any_form_are_equal(self):
+        lts = Lts(self.NAMES, self.TRIPLES)
+        shuffled = self.TRIPLES[::-1]
+        random.Random(3).shuffle(shuffled)
+        forms = [shuffled, self.TRIPLES + self.TRIPLES[:2], (t for t in self.TRIPLES)]
+        for triples in forms:
+            other = Lts(self.NAMES, triples)
+            assert other == lts and hash(other) == hash(lts)
+            assert list(other.triples()) == self.TRIPLES
+
+    @pytest.mark.parametrize(
+        "names, triples",
+        [
+            (NAMES, [(0, "a", 1), (0, "a", 2), (0, "b", 0), (1, "b", 2), (2, "a", 1)]),
+            (NAMES, [(0, "a", 1), (0, "a", 2), (0, "b", 0), (1, "b", 2)]),
+            (NAMES, [(0, "a", 1), (0, "a", 2), (0, "c", 0), (1, "c", 2), (2, "a", 0)]),
+            (["s", "t", "v"], TRIPLES),
+        ],
+        ids=["target", "missing", "label", "state-name"],
+    )
+    def test_one_change_makes_systems_unequal(self, names, triples):
+        assert Lts(names, triples) != Lts(self.NAMES, self.TRIPLES)
 
 
 class TestRelationAlgebra:

@@ -252,6 +252,24 @@ class TestOracles:
         assert time.monotonic() - start < 5.0
         assert seq.strata == tuple(refinement_strata(lts))
 
+    def test_many_labels(self):
+        # 5000 states and 200 labels: the successor table has 10^6 slots for
+        # 12,000 transitions, so a build that walks the transitions once per
+        # label takes seconds
+        import time
+
+        n, rng = 5000, random.Random(16)
+        names = [str(i) for i in range(n)]
+        triples = [
+            (rng.randrange(n), f"a{rng.randrange(200)}", rng.randrange(n)) for _ in range(12000)
+        ]
+        start = time.monotonic()
+        lts = Lts(names, triples)
+        seq = compute_strata(lts)
+        assert time.monotonic() - start < 1.5
+        assert len(lts.labels) == 200 and lts.n_transitions == len(set(triples))
+        assert seq.strata == tuple(refinement_strata(lts))
+
     @settings(max_examples=25, deadline=None)
     @given(small_lts(max_states=3))
     def test_bisimilarity_is_union_of_self_progressing(self, lts):
