@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .lts import Lts, Relation, Validated
+from .lts import MAX_STATES, Lts, Relation, Validated
 
 # upto.lattice is imported by parse_lattice and parse_progression only, so
 # the commands on transition systems start without it
@@ -82,6 +82,8 @@ def parse_aut_document(text: str) -> AutDocument:
         raise AutParseError(f"line {line_no}: initial state {initial} out of range for {n} states")
     if n == 0:
         raise AutParseError(f"line {line_no}: state count must be positive")
+    if n > MAX_STATES:
+        raise AutParseError(f"line {line_no}: {n} states; at most {MAX_STATES} are built")
 
     body = []
     for line_no, line in numbered[1:]:

@@ -34,6 +34,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 # slots of an Lts's successor table (states x labels), and of its cached bitsets
 MAX_TABLE_SLOTS = 2 * 10**7
+# states of a parsed .aut system: one name string and one table row each
+MAX_STATES = 10**6
 
 
 class Validated:
@@ -179,7 +181,7 @@ class Relation:
         count when known."""
         r = _new(Relation)
         _set_n(r, n_states)
-        _set_rows(r, rows)
+        _set_row_bits(r, rows)
         _set_cols(r, cols)
         _set_pairs(r, None)
         _set_size(r, size)
@@ -344,7 +346,7 @@ class Relation:
 # The slots' own setters, which bypass Relation.__setattr__.
 _new = object.__new__
 _SLOT_SETTERS = tuple(getattr(Relation, name).__set__ for name in Relation.__slots__)
-_set_n, _set_rows, _set_cols, _set_pairs, _set_size = _SLOT_SETTERS
+_set_n, _set_row_bits, _set_cols, _set_pairs, _set_size = _SLOT_SETTERS
 
 
 def _image(rows: tuple[int, ...], members: int) -> int:

@@ -17,8 +17,9 @@ its old block and that change, exact because block-mates shared the old
 signature.  A state moves only into a piece at most half the size of its
 block, so it moves O(log n) times: the chain costs O(m log n) dictionary
 operations for m transitions, without numpy.  Nested partitions form a tree,
-and the chain is stored as that tree in O(n) memory; a stratum becomes a
-Relation when asked for: one row bitset per block.
+and the chain is stored as that tree in O(n) memory, which is also the one
+thing a StrataSequence is built from; a stratum becomes a Relation when
+asked for: one row bitset per block.
 """
 
 from __future__ import annotations
@@ -45,21 +46,17 @@ def _block_rows(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(masks[b] for b in ids)
 
 
-def _blocks_of(r: Relation, k: int) -> list[int]:
-    """Block ids of an equivalence relation: each state's least related state."""
-    ids = [(row & -row).bit_length() - 1 for row in r.row_bits]
-    if _block_rows(ids) != r.row_bits:
-        raise ValueError(f"stratum {k} is not an equivalence relation")
-    return ids
-
-
 def _check_tree(final: list[int], parent: list[int], born: list[int], epsilon: int) -> None:
     """Reject a tree unless each stratum strictly refines the one before.
     Stratum k refines stratum k - 1 when every block split off an earlier
     block in an earlier round, and strictly when a block born in round k
     holds a state, which then leaves the states of the block's parent."""
+    if epsilon < 0 or not parent or len(born) != len(parent) or parent[0] or born[0]:
+        raise ValueError("block 0 must be the root, born in round 0 of a chain")
     held, created = [False] * len(parent), [True] + [False] * epsilon
     for c in final:
+        if not 0 <= c < len(held):
+            raise ValueError(f"block {c} is not in the tree")
         held[c] = True
     for c in range(1, len(parent)):
         if not (0 <= parent[c] < c and born[parent[c]] < born[c] <= epsilon):
@@ -79,54 +76,21 @@ class StrataSequence:
     round 0, and block c > 0 split off block ``parent[c] < c`` in round
     ``born[c]``; ``final[p]`` is the block of state p in the stable stratum.
     epsilon is the least index where the chain stabilizes.  The constructor
-    accepts equivalence relations; ``from_blocks`` takes rows of block ids.
+    takes this tree and checks that each stratum strictly refines the one
+    before, in O(n); ``compute_strata`` builds it.  Two chains are equal when
+    their systems and strata are, whichever piece of a split kept its
+    block's id: ``==`` compares a canonical form of the tree, in O(n log n).
     """
 
     __slots__ = ("lts", "epsilon", "_final", "_parent", "_born", "_relations")
 
-    def __init__(self, lts: Lts, strata: Sequence[Relation], epsilon: int):
-        if epsilon != len(strata) - 1:
-            raise ValueError("epsilon must index the last stored stratum")
-        for r in strata:
-            if r.n_states != lts.n_states:
-                raise ValueError("stratum dimensions do not match the LTS")
-        self._set_rows(lts, [_blocks_of(r, k) for k, r in enumerate(strata)])
-
-    @classmethod
-    def from_blocks(cls, lts: Lts, blocks: Sequence[Sequence[int]]) -> "StrataSequence":
-        """The chain whose row k gives the block id of each state in stratum k."""
-        return cls.__new__(cls)._set_rows(lts, blocks)
-
-    def _set_rows(self, lts: Lts, rows: Sequence[Sequence[int]]) -> "StrataSequence":
-        n = lts.n_states
-        rows = [_canonical(row) for row in rows]
-        if not rows or any(len(row) != n for row in rows):
-            raise ValueError(f"block rows do not fit {n} states")
-        if any(rows[0]):
-            raise ValueError("stratum 0 must be the full relation")
-        final, parent, born = [0] * n, [0], [0]
-        for k, row in enumerate(rows[1:], 1):
-            # row block -> tree block, and tree block -> the row block of its
-            # first piece, which keeps the tree block's id
-            ids, first, fits = {}, {}, True
-            for p, b in enumerate(row):
-                old = final[p]
-                if first.setdefault(old, b) != b and b not in ids:
-                    ids[b] = len(parent)
-                    parent.append(old)
-                    born.append(k)
-                c = final[p] = ids.setdefault(b, old)
-                fits = fits and (c if born[c] < k else parent[c]) == old  # c in p's old block
-            if not fits or born[-1] != k:
-                raise ValueError(f"stratum {k} must be strictly below stratum {k - 1}")
-        return self._set(lts, final, parent, born, len(rows) - 1)
-
-    def _set(self, lts: Lts, final, parent, born, epsilon: int) -> "StrataSequence":
+    def __init__(self, lts: Lts, final: list[int], parent: list[int], born: list[int], epsilon: int):
+        if len(final) != lts.n_states:
+            raise ValueError(f"final blocks do not fit {lts.n_states} states")
         _check_tree(final, parent, born, epsilon)
         values = (lts, epsilon, final, parent, born, [None] * (epsilon + 1))
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("StrataSequence is immutable")
@@ -134,7 +98,34 @@ class StrataSequence:
     def __eq__(self, other):
         if not isinstance(other, StrataSequence):
             return NotImplemented
-        return self.lts == other.lts and self.blocks == other.blocks
+        return self.lts == other.lts and self._key() == other._key()
+
+    def _key(self) -> tuple:
+        """The chain, free of block ids: epsilon, each state's least final
+        block-mate, and each split as its round and the least states of its
+        pieces, the least of which is also the least state of the split block.
+        At round k, block c holds its own final states and the subtrees of
+        its children born after round k, so a pass from the leaves up and one
+        over each block's children from the last round down find them all."""
+        final, parent, born = self._final, self._parent, self._born
+        own = [len(final)] * len(parent)
+        for p in reversed(range(len(final))):
+            own[final[p]] = p
+        least, children = own[:], [[] for _ in parent]
+        for c in range(len(parent) - 1, 0, -1):
+            up = parent[c]
+            least[up] = min(least[up], least[c])
+            children[up].append(c)
+        splits = []
+        for c, kids in enumerate(children):
+            kids.sort(key=born.__getitem__, reverse=True)
+            low = own[c]
+            for k, group in itertools.groupby(kids, born.__getitem__):
+                pieces = sorted([low, *(least[d] for d in group)])
+                splits.append((k, *pieces))
+                low = pieces[0]
+        splits.sort()
+        return self.epsilon, [own[c] for c in final], splits
 
     def __hash__(self):
         return hash((self.lts, self.epsilon))
@@ -292,4 +283,4 @@ def compute_strata(lts: Lts) -> StrataSequence:
             break
         for p, _, fresh in moved:
             block[p] = fresh
-    return StrataSequence.__new__(StrataSequence)._set(lts, block, parent, born, k - 1)
+    return StrataSequence(lts, block, parent, born, k - 1)

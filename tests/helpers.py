@@ -14,6 +14,10 @@ Relation.from_pairs; the library's samplers must draw the same numbers in the
 same order and return the same relations.  lts_to_lattice tabulates the
 relations of a system as a powerset lattice with progress as its
 progression, the oracle of the library's companion on relations.
+chain_from_rows and chain_from_relations build a chain's refinement tree
+from rows of block ids or from equivalence relations, numbered apart from
+compute_strata's, and fixpoint_lrf computes the largest respectful function
+as the greatest fixpoint of its definition, on every relation.
 """
 
 import itertools
@@ -24,6 +28,7 @@ import numpy as np
 from upto import LatticeProgression, Lts, Relation, element_relation, validate_lattice
 from upto.lattice import MonotoneClassification, _inclusion
 from upto.lts import ProgressViolation, largest_progressing_to
+from upto.strata import StrataSequence, _block_rows, _canonical
 
 
 def refinement_strata(lts):
@@ -58,6 +63,50 @@ def refinement_strata(lts):
             members[block] = members.get(block, 0) | 1 << p
         relations.append(Relation._from_rows(n, tuple(members[block] for block in b)))
     return relations
+
+
+def chain_from_rows(lts, rows):
+    """The chain whose row k gives the block id of each state in stratum k,
+    built as its refinement tree: the first piece of a split, in state
+    order, keeps the block's id, where compute_strata keeps the largest."""
+    n = lts.n_states
+    rows = [_canonical(row) for row in rows]
+    if not rows or any(len(row) != n for row in rows):
+        raise ValueError(f"block rows do not fit {n} states")
+    if any(rows[0]):
+        raise ValueError("stratum 0 must be the full relation")
+    final, parent, born = [0] * n, [0], [0]
+    for k, row in enumerate(rows[1:], 1):
+        # row block -> tree block, and tree block -> the row block of its
+        # first piece, which keeps the tree block's id
+        ids, first, fits = {}, {}, True
+        for p, b in enumerate(row):
+            old = final[p]
+            if first.setdefault(old, b) != b and b not in ids:
+                ids[b] = len(parent)
+                parent.append(old)
+                born.append(k)
+            c = final[p] = ids.setdefault(b, old)
+            fits = fits and (c if born[c] < k else parent[c]) == old  # c in p's old block
+        if not fits or born[-1] != k:
+            raise ValueError(f"stratum {k} must be strictly below stratum {k - 1}")
+    return StrataSequence(lts, final, parent, born, len(rows) - 1)
+
+
+def chain_from_relations(lts, strata, epsilon):
+    """The chain of these equivalence relations, strata[epsilon] the last."""
+    if epsilon != len(strata) - 1:
+        raise ValueError("epsilon must index the last stored stratum")
+    rows = []
+    for k, r in enumerate(strata):
+        if r.n_states != lts.n_states:
+            raise ValueError("stratum dimensions do not match the LTS")
+        # each state's least related state, an equivalence's block id
+        ids = [(row & -row).bit_length() - 1 for row in r.row_bits]
+        if _block_rows(ids) != r.row_bits:
+            raise ValueError(f"stratum {k} is not an equivalence relation")
+        rows.append(ids)
+    return chain_from_rows(lts, rows)
 
 
 def matrix_largest_progressing_to(lts, s):
@@ -164,6 +213,42 @@ def relation_element_index(r):
     pairs): its row bitsets, concatenated; element_relation inverts it."""
     n = r.n_states
     return sum(row << (p * n) for p, row in enumerate(r.row_bits))
+
+
+def fixpoint_lrf(lts):
+    """The largest respectful function from its definition, without strata.
+
+    f is respectful when R ⊆ S ∩ lpt(S) implies f(R) ⊆ f(S) ∩ lpt(f(S)),
+    lpt being largest_progressing_to.  Starting from the constant full
+    function, F ↦ (R ↦ F(R) ∩ ⋂ {F(S) ∩ lpt(F(S)) : R ⊆ S ∩ lpt(S)}) is
+    applied until it is stable.  Relations are the bitmasks of
+    relation_element_index, and the result lists f(R) for every mask R.
+    """
+    n = lts.n_states
+    full = (1 << (n * n)) - 1
+    memo = {}
+
+    def lpt(mask):
+        if mask not in memo:
+            s = element_relation(n, mask)
+            memo[mask] = relation_element_index(largest_progressing_to(lts, s))
+        return memo[mask]
+
+    below = [s & lpt(s) for s in range(full + 1)]
+    f = [full] * (full + 1)
+    while True:
+        # the bound F(S) ∩ lpt(F(S)), met over the S of each S ∩ lpt(S)
+        bound = {}
+        for s, t in enumerate(below):
+            bound[t] = bound.get(t, full) & f[s] & lpt(f[s])
+        g = list(f)
+        for r in range(full + 1):
+            for t, b in bound.items():
+                if r & ~t == 0:
+                    g[r] &= b
+        if g == f:
+            return f
+        f = g
 
 
 def lts_to_lattice(lts):

@@ -8,7 +8,7 @@ import pytest
 from upto.cli import main
 from upto.formats import MAX_RENDERED_PAIRS
 from upto.gallery import GalleryVerdict, verify_gallery
-from upto.lts import MAX_TABLE_SLOTS
+from upto.lts import MAX_STATES, MAX_TABLE_SLOTS
 from upto.verify import run_verification
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
@@ -506,6 +506,21 @@ class TestTableLimit:
         assert done.stderr == (
             f"error: 5000 states and 5000 labels need 25000000 successor table slots; "
             f"at most {MAX_TABLE_SLOTS} are built\n"
+        )
+
+    def test_state_count_past_the_limit_exits_2_at_once(self, tmp_path):
+        # a 20-byte header: 10^8 state names alone would not fit under the cap
+        aut = tmp_path / "idle.aut"
+        aut.write_text("des (0,0,100000000)\n")
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED, "bisim", str(aut)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - start < 1.0
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: line 1: 100000000 states; at most {MAX_STATES} are built\n"
         )
 
 

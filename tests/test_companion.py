@@ -1,23 +1,33 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from upto import (
+    Lts,
     Relation,
     UpToFunction,
     catalog,
     check_lrf_largest,
     compute_strata,
+    element_relation,
     is_respectful_on_samples,
     lrf,
     lrf_function,
     progresses_to,
 )
 from upto.companion import CATALOG_MEMO
-from upto.sampling import progression_sample, random_lts_pool, random_relation, random_subrelation
+from upto.sampling import (
+    progression_sample,
+    random_lts,
+    random_lts_pool,
+    random_relation,
+    random_subrelation,
+)
 
-from helpers import lts_with_relations, scan_lrf, small_lts
+from helpers import fixpoint_lrf, lts_with_relations, relation_element_index, scan_lrf, small_lts
 
 
 @pytest.fixture
@@ -255,3 +265,31 @@ class TestLrfProperties:
                 r, s = progression_sample(rng, lts)
                 assert lrf(seq, r).is_subset(lrf(seq, s))
                 assert progresses_to(lts, lrf(seq, r), lrf(seq, s)).holds
+
+
+class TestLrfDefinition:
+    """lrf, read off the strata, against the greatest fixpoint of the
+    respectfulness condition, computed on every relation without strata."""
+
+    @staticmethod
+    def assert_lrf_is_the_fixpoint(lts):
+        n, seq, f = lts.n_states, compute_strata(lts), fixpoint_lrf(lts)
+        for r, image in enumerate(f):
+            assert relation_element_index(lrf(seq, element_relation(n, r))) == image, (lts, r)
+
+    def test_every_system_up_to_two_states_and_two_labels(self):
+        start, count = time.monotonic(), 0
+        for n in (1, 2):
+            moves = [(p, a, q) for p in range(n) for a in "ab" for q in range(n)]
+            for kept in itertools.product((False, True), repeat=len(moves)):
+                lts = Lts([str(i) for i in range(n)], itertools.compress(moves, kept))
+                self.assert_lrf_is_the_fixpoint(lts)
+                count += 1
+        assert count == 2**2 + 2**8
+        assert time.monotonic() - start < 5.0
+
+    def test_seeded_three_state_systems(self):
+        start, rng = time.monotonic(), random.Random(18)
+        for _ in range(20):
+            self.assert_lrf_is_the_fixpoint(random_lts(rng, 3, 2, rng.uniform(0.1, 0.5)))
+        assert time.monotonic() - start < 5.0

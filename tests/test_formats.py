@@ -23,6 +23,7 @@ from upto.formats import (
     parse_aut_document,
     parse_relation_document,
 )
+from upto.lts import MAX_STATES
 
 from helpers import small_lts
 
@@ -75,6 +76,13 @@ class TestParseAut:
             parse_aut('des (0,1,2)\n(0,"a",5)\n')
         with pytest.raises(AutParseError, match="initial state"):
             parse_aut('des (9,0,2)\n')
+
+    def test_state_count_past_the_limit(self):
+        assert MAX_STATES == 10**6
+        assert parse_aut_document(f"des (0,0,{MAX_STATES})\n").header == (0, 0, MAX_STATES)
+        with pytest.raises(AutParseError) as error:
+            parse_aut(f"\ndes (0,0,{MAX_STATES + 1})\n")
+        assert str(error.value) == f"line 2: {MAX_STATES + 1} states; at most {MAX_STATES} are built"
 
     def test_unterminated_quote(self):
         with pytest.raises(AutParseError, match="line 2.*unterminated quote"):

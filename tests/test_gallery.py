@@ -2,8 +2,10 @@ import tracemalloc
 
 import pytest
 
-from upto import StrataSequence, compute_strata
+from upto import compute_strata
 from upto.gallery import MAX_GALLERY_TRANSITIONS, GalleryVerdict, build_T, verify_gallery
+
+from helpers import chain_from_rows
 
 
 class TestBuildT:
@@ -94,7 +96,7 @@ class TestVerifyGallery:
             if lts.n_states != 7:
                 return real(lts)
             rows = real(build_T(5).lts).blocks
-            return StrataSequence.from_blocks(lts, [row + (row[pad],) for row in rows])
+            return chain_from_rows(lts, [row + (row[pad],) for row in rows])
 
         monkeypatch.setattr("upto.gallery.compute_strata", planted)
         assert verify_gallery(6) == GalleryVerdict(False, checked, discrepancy)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,16 @@ from upto import Lts, Relation, compute_strata, largest_progressing_to, lrf, pro
 from upto.formats import render_relation
 from upto.gallery import build_T
 from upto.sampling import random_lts
-from upto.strata import StrataSequence, _check_tree
+from upto.strata import StrataSequence, _canonical, _check_tree
 
-from helpers import all_relations, matrix_strata, refinement_strata, small_lts
+from helpers import (
+    all_relations,
+    chain_from_relations,
+    chain_from_rows,
+    matrix_strata,
+    refinement_strata,
+    small_lts,
+)
 
 
 class TestExamples:
@@ -59,25 +68,25 @@ class TestExamples:
 class TestSequenceValidation:
     def test_rejects_non_full_start(self, t2):
         with pytest.raises(ValueError):
-            StrataSequence(t2, (Relation.identity(3),), 0)
+            chain_from_relations(t2, (Relation.identity(3),), 0)
 
     def test_rejects_non_decreasing_chain(self, t2):
         with pytest.raises(ValueError):
-            StrataSequence(t2, (Relation.full(3), Relation.full(3)), 1)
+            chain_from_relations(t2, (Relation.full(3), Relation.full(3)), 1)
 
     def test_rejects_non_equivalence(self, t2):
         not_symmetric = Relation.identity(3) | Relation.from_pairs(3, [(1, 2)])
         with pytest.raises(ValueError, match="not an equivalence"):
-            StrataSequence(t2, (Relation.full(3), not_symmetric), 1)
+            chain_from_relations(t2, (Relation.full(3), not_symmetric), 1)
 
     def test_rejects_rows_that_do_not_refine(self, t2):
         with pytest.raises(ValueError, match="strictly below"):
-            StrataSequence.from_blocks(t2, np.array([[0, 0, 0], [0, 1, 1], [0, 0, 1]]))
+            chain_from_rows(t2, np.array([[0, 0, 0], [0, 1, 1], [0, 0, 1]]))
 
     def test_relations_and_rows_agree(self, t2):
         seq = compute_strata(t2)
-        assert StrataSequence(t2, seq.strata, seq.epsilon) == seq
-        assert StrataSequence.from_blocks(t2, seq.blocks) == seq
+        assert chain_from_relations(t2, seq.strata, seq.epsilon) == seq
+        assert chain_from_rows(t2, seq.blocks) == seq
 
     @pytest.mark.parametrize(
         "rows",
@@ -94,8 +103,8 @@ class TestSequenceValidation:
     def test_log_check_rejects_rows_that_do_not_split(self, rows):
         lts = Lts([str(i) for i in range(4)], [])
         with pytest.raises(ValueError, match="strictly below stratum 1"):
-            StrataSequence.from_blocks(lts, rows)
-        assert StrataSequence.from_blocks(lts, rows[:2]).epsilon == 1
+            chain_from_rows(lts, rows)
+        assert chain_from_rows(lts, rows[:2]).epsilon == 1
 
     @pytest.mark.parametrize(
         "tree, message",
@@ -106,13 +115,24 @@ class TestSequenceValidation:
             (([0, 0], [0, 0], [0, 1], 1), "block 1 holds no state"),
             # no block is born in round 1
             (([0, 1], [0, 0], [0, 2], 2), "stratum 1 must be strictly below stratum 0"),
+            # the root is born after round 0
+            (([0, 1], [0, 0], [1, 2], 2), "block 0 must be the root"),
+            # state 1 sits in a block the tree does not have
+            (([0, 2], [0, 0], [0, 1], 1), "block 2 is not in the tree"),
         ],
-        ids=["parent-not-earlier", "empty-block", "idle-round"],
+        ids=["parent-not-earlier", "empty-block", "idle-round", "late-root", "unknown-block"],
     )
     def test_tree_check_rejects_bad_trees(self, tree, message):
         with pytest.raises(ValueError, match=message):
             _check_tree(*tree)
         _check_tree([0, 1], [0, 0], [0, 1], 1)
+
+    def test_constructor_checks_the_state_count(self, t2):
+        # T_2 has three states
+        with pytest.raises(ValueError, match="final blocks do not fit 3 states"):
+            StrataSequence(t2, [0, 1], [0, 0], [0, 1], 1)
+        seq = StrataSequence(t2, [0, 1, 1], [0, 0], [0, 1], 1)
+        assert seq.blocks == ((0, 0, 0), (0, 1, 1))
 
 
 def path(n):
@@ -140,8 +160,59 @@ class TestMoveLog:
         # canonical rows of a path renumber O(n^2) ids, so the path is short
         lts = path(300)
         seq = compute_strata(lts)
-        assert StrataSequence.from_blocks(lts, seq.blocks) == seq
+        assert chain_from_rows(lts, seq.blocks) == seq
         assert all(type(row) is tuple for row in seq.blocks)
+
+
+def planted_rows(rng, n):
+    """A random chain of partitions of n states, each row strictly finer
+    than the one before: every block splits at random into at most two."""
+    rows = [(0,) * n]
+    while rng.random() < 0.8:
+        row = _canonical([(b, rng.randrange(2)) for b in rows[-1]])
+        if row != rows[-1]:
+            rows.append(row)
+    return rows
+
+
+class TestEquality:
+    def test_both_constructions_compare_equal(self):
+        # compute_strata lets the largest piece of a split keep the block's
+        # id, chain_from_rows the first, so most trees are numbered apart
+        rng = random.Random(2024)
+        systems = [build_T(n).lts for n in range(31)]
+        for _ in range(30):
+            n = rng.randint(1, 60)
+            systems.append(random_lts(rng, n, rng.randint(1, 3), rng.uniform(0.5, 3.0) / n))
+        numbered_apart = 0
+        for lts in systems:
+            seq = compute_strata(lts)
+            built = chain_from_rows(lts, seq.blocks)
+            assert built == seq and hash(built) == hash(seq)
+            assert built.blocks == seq.blocks
+            numbered_apart += built._parent != seq._parent
+        assert numbered_apart > 3 * len(systems) // 4, numbered_apart
+
+    def test_differing_blocks_compare_unequal(self):
+        rng, lts = random.Random(18), Lts([str(i) for i in range(5)], [])
+        chains = [chain_from_rows(lts, planted_rows(rng, 5)) for _ in range(150)]
+        equal = same_limit_apart = 0
+        for a, b in itertools.combinations(chains, 2):
+            assert (a == b) == (a.blocks == b.blocks)
+            equal += a == b
+            # the same epsilon and stable partition, told apart by a split
+            same_limit_apart += a != b and (a.epsilon, a.blocks[-1]) == (b.epsilon, b.blocks[-1])
+        assert equal > 0 and same_limit_apart > 0, (equal, same_limit_apart)
+        seq = compute_strata(build_T(4).lts)
+        assert seq != chain_from_rows(seq.lts, seq.blocks[:-1])
+        assert seq != chain_from_rows(seq.lts, seq.blocks[:1] + seq.blocks[2:])
+
+    def test_long_paths_compare_equal_quickly(self):
+        # the rows of two 2000-state paths hold 8 * 10^6 block ids
+        a, b = compute_strata(path(2000)), compute_strata(path(2000))
+        start = time.monotonic()
+        assert a == b
+        assert time.monotonic() - start < 0.5
 
 
 class TestDepth:
@@ -244,8 +315,6 @@ class TestOracles:
     def test_desk_scale_system(self):
         # sparse 300-state system: chain must match the refinement oracle
         # and stay fast enough for interactive use
-        import time
-
         lts = random_lts(random.Random(12), 300, 2, 0.008)
         start = time.monotonic()
         seq = compute_strata(lts)
@@ -256,8 +325,6 @@ class TestOracles:
         # 5000 states and 200 labels: the successor table has 10^6 slots for
         # 12,000 transitions, so a build that walks the transitions once per
         # label takes seconds
-        import time
-
         n, rng = 5000, random.Random(16)
         names = [str(i) for i in range(n)]
         triples = [
