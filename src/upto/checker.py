@@ -12,32 +12,30 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .companion import UpToFunction, lrf_function
-from .lts import Lts, ProgressDiagnosis, Relation, Validated, progresses_to
+from .lts import Lts, ProgressDiagnosis, Relation, progresses_to
 from .strata import StrataSequence, compute_strata
 
 CONTAINED = "contained_in_bisimilarity"
 INCONCLUSIVE = "inconclusive"
 
 
-class ProofReport(
-    Validated,
-    NamedTuple(
-        "ProofReport",
-        [
-            ("relation_name", str),
-            ("function_name", str),
-            ("progression_holds", bool),
-            ("conclusion", str),
-            ("diagnosis", ProgressDiagnosis),
-            ("cross_check", bool),
-        ],
-    )
-):
-    __slots__ = ()
+class ProofReport(NamedTuple):
+    """An up-to proof attempt: the progression's diagnosis decides whether
+    it holds, and the conclusion is positive only for a trusted function."""
 
-    def _check(self):
-        if self.conclusion not in (CONTAINED, INCONCLUSIVE):
-            raise ValueError(f"unknown conclusion {self.conclusion!r}")
+    relation_name: str
+    function_name: str
+    trusted: bool
+    diagnosis: ProgressDiagnosis
+    cross_check: bool
+
+    @property
+    def progression_holds(self) -> bool:
+        return self.diagnosis.holds
+
+    @property
+    def conclusion(self) -> str:
+        return CONTAINED if self.diagnosis.holds and self.trusted else INCONCLUSIVE
 
 
 def check_upto(
@@ -62,18 +60,9 @@ def check_upto(
         seq = compute_strata(lts)
     elif seq.lts is not lts and seq.lts != lts:
         raise ValueError("strata sequence was computed for a different LTS")
-    image = f(r)
-    diagnosis = progresses_to(lts, r, image)
-    conclusion = CONTAINED if (diagnosis.holds and f.trusted) else INCONCLUSIVE
+    diagnosis = progresses_to(lts, r, f(r))
     cross_check = seq.depth(r) == seq.epsilon
-    return ProofReport(
-        relation_name=relation_name,
-        function_name=f.name,
-        progression_holds=diagnosis.holds,
-        conclusion=conclusion,
-        diagnosis=diagnosis,
-        cross_check=cross_check,
-    )
+    return ProofReport(relation_name, f.name, f.trusted, diagnosis, cross_check)
 
 
 def check_companion(lts: Lts, r: Relation, relation_name: str = "R") -> ProofReport:

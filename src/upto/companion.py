@@ -12,7 +12,7 @@ import itertools
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .lts import Lts, ProgressDiagnosis, Relation, Validated, progress_holds, progresses_to
+from .lts import Lts, ProgressDiagnosis, Relation, progress_holds, progresses_to
 from .strata import StrataSequence
 
 # images remembered by each of the catalog's upto_bisim and union_bisim
@@ -39,29 +39,26 @@ class UpToFunction(NamedTuple):
 
 
 class RespectfulnessCounterexample(NamedTuple):
+    """A sample (r, s) whose images break respectfulness: f(r) not inside
+    f(s) (no diagnosis), or f(r) not progressing to f(s) (its diagnosis)."""
+
     r: Relation
     s: Relation
-    clause: str  # "inclusion" or "progression"
     diagnosis: Optional[ProgressDiagnosis]
 
+    @property
+    def clause(self) -> str:
+        return "inclusion" if self.diagnosis is None else "progression"
 
-class RespectfulnessVerdict(
-    Validated,
-    NamedTuple(
-        "RespectfulnessVerdict",
-        [
-            ("holds_on_samples", bool),
-            ("counterexample", Optional[RespectfulnessCounterexample]),
-            ("samples_checked", int),
-            ("samples_skipped", int),
-        ],
-    )
-):
-    __slots__ = ()
 
-    def _check(self):
-        if self.holds_on_samples != (self.counterexample is None):
-            raise ValueError("counterexample must be present iff the verdict fails")
+class RespectfulnessVerdict(NamedTuple):
+    counterexample: Optional[RespectfulnessCounterexample]
+    samples_checked: int
+    samples_skipped: int
+
+    @property
+    def holds_on_samples(self) -> bool:
+        return self.counterexample is None
 
 
 class DominanceCounterexample(NamedTuple):
@@ -72,9 +69,12 @@ class DominanceCounterexample(NamedTuple):
 
 
 class DominanceVerdict(NamedTuple):
-    holds: bool
     counterexample: Optional[DominanceCounterexample]
     samples_checked: int
+
+    @property
+    def holds(self) -> bool:
+        return self.counterexample is None
 
 
 def lrf(seq: StrataSequence, r: Relation) -> Relation:
@@ -166,10 +166,8 @@ def is_respectful_on_samples(
         fr, fs = f(r), f(s)
         diag = progresses_to(lts, fr, fs) if fr.is_subset(fs) else None
         if diag is None or not diag.holds:
-            clause = "inclusion" if diag is None else "progression"
-            counterexample = RespectfulnessCounterexample(r, s, clause, diag)
-            return RespectfulnessVerdict(False, counterexample, checked, skipped)
-    return RespectfulnessVerdict(True, None, checked, skipped)
+            return RespectfulnessVerdict(RespectfulnessCounterexample(r, s, diag), checked, skipped)
+    return RespectfulnessVerdict(None, checked, skipped)
 
 
 def check_lrf_largest(
@@ -190,5 +188,5 @@ def check_lrf_largest(
             checked += 1
             image = f(r)
             if not image.is_subset(bound):
-                return DominanceVerdict(False, DominanceCounterexample(r, f.name, image, bound), checked)
-    return DominanceVerdict(True, None, checked)
+                return DominanceVerdict(DominanceCounterexample(r, f.name, image, bound), checked)
+    return DominanceVerdict(None, checked)

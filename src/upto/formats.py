@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .lts import MAX_STATES, Lts, Relation, Validated
+from .lts import MAX_LATTICE_ELEMENTS, MAX_STATES, Lts, Relation
 
 # upto.lattice is imported by parse_lattice and parse_progression only, so
 # the commands on transition systems start without it
@@ -43,28 +43,9 @@ _EDGE_RE = re.compile(r"^\(\s*(\d+)\s*,\s*\"(.*)\"\s*,\s*(\d+)\s*\)\s*$", re.ASC
 MAX_RENDERED_PAIRS = 10**6
 
 
-class AutDocument(
-    Validated,
-    NamedTuple(
-        "AutDocument",
-        [
-            # (initial state, transition count, state count)
-            ("header", tuple[int, int, int]),
-            ("body", tuple[tuple[int, str, int], ...]),
-        ],
-    )
-):
-    __slots__ = ()
-
-    def _check(self):
-        initial, m, n = self.header
-        if len(self.body) != m:
-            raise ValueError("transition count in header does not match body")
-        if n > 0 and not 0 <= initial < n:
-            raise ValueError("initial state out of range")
-        for src, _, dst in self.body:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError("transition endpoint out of range")
+class AutDocument(NamedTuple):
+    header: tuple[int, int, int]  # (initial state, transition count, state count)
+    body: tuple[tuple[int, str, int], ...]
 
 
 def parse_aut_document(text: str) -> AutDocument:
@@ -222,6 +203,10 @@ def parse_lattice_document(text: str) -> LatticeDocument:
         raise LatticeParseError(f"invalid JSON lattice document: {e}") from None
     if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
         raise LatticeParseError("lattice document must be an object with an 'elements' list")
+    m = len(data["elements"])
+    if m > MAX_LATTICE_ELEMENTS:
+        limit = MAX_LATTICE_ELEMENTS
+        raise LatticeParseError(f"lattice has {m} elements; at most {limit} are built")
     # element names are printed inside report lines
     for e in data["elements"]:
         if not _is_one_line(e):

@@ -28,7 +28,7 @@ from functools import reduce
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
-from .lts import Relation, Validated
+from .lts import Relation
 
 _T = TypeVar("_T")  # a lattice element
 
@@ -202,11 +202,14 @@ class ProgressionViolation(NamedTuple):
 
 
 class ProgressionVerdict(NamedTuple):
-    holds: bool
     violations: tuple[ProgressionViolation, ...]
     violation_count: int  # total found; violations may be truncated
 
     _CAP = 100
+
+    @property
+    def holds(self) -> bool:
+        return self.violation_count == 0
 
 
 def _pre_image_joins(lattice: FiniteLattice, rel: Relation) -> tuple[int, ...]:
@@ -246,8 +249,7 @@ def is_progression(lattice: FiniteLattice, rel) -> ProgressionVerdict:
         )
         for j, b in unjoined[: cap - len(violations)]
     ]
-    total = len(unclosed) + len(unjoined)
-    return ProgressionVerdict(total == 0, tuple(violations), total)
+    return ProgressionVerdict(tuple(violations), len(unclosed) + len(unjoined))
 
 
 class LatticeProgression:
@@ -292,16 +294,14 @@ def close_to_progression(lattice: FiniteLattice, seed) -> LatticeProgression:
         rel = new
 
 
-class LatticeChain(
-    Validated, NamedTuple("LatticeChain", [("zs", tuple[int, ...]), ("stable_index", int)])
-):
+class LatticeChain(NamedTuple):
     """The decreasing chain from the top, stored up to its stable point."""
 
-    __slots__ = ()
+    zs: tuple[int, ...]
 
-    def _check(self):
-        if self.stable_index != len(self.zs) - 1:
-            raise ValueError("stable_index must index the last stored chain element")
+    @property
+    def stable_index(self) -> int:
+        return len(self.zs) - 1
 
 
 def _same_lattice(lattice: FiniteLattice, progression: LatticeProgression) -> None:
@@ -337,7 +337,7 @@ def z_chain(lattice: FiniteLattice, progression: LatticeProgression) -> LatticeC
     """Iterate join-of-pre-image from the top until it stabilizes."""
     _same_lattice(lattice, progression)
     zs = descending_chain(lattice.top, progression.s_vector.__getitem__, lattice.le)
-    return LatticeChain(zs=zs, stable_index=len(zs) - 1)
+    return LatticeChain(zs)
 
 
 def companion_at(

@@ -36,37 +36,16 @@ from typing import Iterable, Iterator, NamedTuple
 MAX_TABLE_SLOTS = 2 * 10**7
 # states of a parsed .aut system: one name string and one table row each
 MAX_STATES = 10**6
+# elements of a parsed lattice: its order and join and meet tables take
+# O(m^2) bits and slots, built before any axiom is checked
+MAX_LATTICE_ELEMENTS = 1000
 
 
-class Validated:
-    """Base for a NamedTuple record whose fields obey an invariant: the
-    record's ``_check`` runs on every construction, ``_make`` and
-    ``_replace`` included, and raises ValueError when the invariant fails.
-    Subclasses declare ``__slots__ = ()`` so a record stays a bare tuple."""
+class Label(NamedTuple):
+    """A transition label; equal iff the texts are equal.  ``Lts`` checks
+    the text of every label it interns."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-class Label(Validated, NamedTuple("Label", [("text", str)])):
-    """A transition label; equal iff the texts are equal."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if not self.text:
-            raise ValueError("label text must be non-empty")
-        # a line break would split the label's line in an .aut file
-        if self.text.splitlines() != [self.text]:
-            raise ValueError(f"label text {self.text!r} contains a line break")
+    text: str
 
 
 class Lts:
@@ -93,7 +72,14 @@ class Lts:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"transition ({p}, {a!r}, {q}) out of range for {n} states")
             codes.setdefault(a, []).append(p * n + q)
-        labels = tuple(map(Label, sorted(codes)))
+        texts = sorted(codes)
+        for text in texts:
+            if not text:
+                raise ValueError("label text must be non-empty")
+            # a line break would split the label's line in an .aut file
+            if text.splitlines() != [text]:
+                raise ValueError(f"label text {text!r} contains a line break")
+        labels = tuple(map(Label, texts))
         if n * len(labels) > MAX_TABLE_SLOTS:
             need = f"{n} states and {len(labels)} labels need {n * len(labels)} successor table"
             raise ValueError(f"{need} slots; at most {MAX_TABLE_SLOTS} are built")
@@ -363,29 +349,29 @@ class ProgressViolation(NamedTuple):
     """One unmatched transition found while checking progress.
 
     direction "left" means the transition leaves the left state of the pair
-    (clause 1), "right" that it leaves the right state (clause 2).  A named
-    tuple, since a diagnosis can hold hundreds of thousands of them.
+    (clause 1), "right" that it leaves the right state (clause 2); that
+    state is ``source``.  A named tuple, since a diagnosis can hold hundreds
+    of thousands of them.
     """
 
     pair: tuple[int, int]
     direction: str
     label: str
-    source: int
     target: int
 
+    @property
+    def source(self) -> int:
+        return self.pair[self.direction == "right"]
 
-class ProgressDiagnosis(
-    Validated,
-    NamedTuple(
-        "ProgressDiagnosis",
-        [("holds", bool), ("violations", tuple[ProgressViolation, ...])],
-    )
-):
-    __slots__ = ()
 
-    def _check(self):
-        if self.holds != (len(self.violations) == 0):
-            raise ValueError("holds must be true iff there are no violations")
+class ProgressDiagnosis(NamedTuple):
+    """Every unmatched move of a progress check; it holds when there is none."""
+
+    violations: tuple[ProgressViolation, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
 
 _left, _right = itemgetter(0), itemgetter(1)
@@ -417,7 +403,7 @@ def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None) -> i
                         last = q
                     if stop:
                         break
-                    moves.append(ProgressViolation((p, q), "left", label.text, p, p1))
+                    moves.append(ProgressViolation((p, q), "left", label.text, p1))
             else:
                 if cols is None and qs1:
                     cols = s.column_bits
@@ -428,7 +414,7 @@ def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None) -> i
                             last = q
                         if stop:
                             break
-                        moves.append(ProgressViolation((p, q), "right", label.text, q, q1))
+                        moves.append(ProgressViolation((p, q), "right", label.text, q1))
                 else:
                     continue
             break  # only a stopping walk gets here, at q's first unmatched move
@@ -455,8 +441,7 @@ def progresses_to(lts: Lts, r: Relation, s: Relation) -> ProgressDiagnosis:
     """
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    violations = tuple(_violations(lts, r.pairs, s))
-    return ProgressDiagnosis(holds=not violations, violations=violations)
+    return ProgressDiagnosis(tuple(_violations(lts, r.pairs, s)))
 
 
 def progress_holds(lts: Lts, r: Relation, s: Relation) -> bool:

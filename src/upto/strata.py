@@ -46,7 +46,7 @@ def _block_rows(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(masks[b] for b in ids)
 
 
-def _check_tree(final: list[int], parent: list[int], born: list[int], epsilon: int) -> None:
+def _validate_tree(final: list[int], parent: list[int], born: list[int], epsilon: int) -> None:
     """Reject a tree unless each stratum strictly refines the one before.
     Stratum k refines stratum k - 1 when every block split off an earlier
     block in an earlier round, and strictly when a block born in round k
@@ -87,7 +87,7 @@ class StrataSequence:
     def __init__(self, lts: Lts, final: list[int], parent: list[int], born: list[int], epsilon: int):
         if len(final) != lts.n_states:
             raise ValueError(f"final blocks do not fit {lts.n_states} states")
-        _check_tree(final, parent, born, epsilon)
+        _validate_tree(final, parent, born, epsilon)
         values = (lts, epsilon, final, parent, born, [None] * (epsilon + 1))
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)

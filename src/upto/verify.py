@@ -297,7 +297,7 @@ def _lrf_idempotent(suite: _Suite, rng: random.Random):
         yield 1, None if lrf(seq, image) == image else f"on {seq.lts!r}"
 
 
-def _checker_soundness(suite: _Suite, rng: random.Random):
+def _proof_soundness(suite: _Suite, rng: random.Random):
     for _ in range(_clamp(suite.samples // 5, 20, 400)):
         lts, seq = _pick(rng, suite.systems)
         f = _pick(rng, suite.functions[id(seq)])
@@ -309,7 +309,7 @@ def _checker_soundness(suite: _Suite, rng: random.Random):
         yield 1, None if ok else f"{f.name} on {lts!r}"
 
 
-def _checker_maximality(suite: _Suite, rng: random.Random):
+def _proof_maximality(suite: _Suite, rng: random.Random):
     for _ in range(_clamp(suite.samples // 10, 10, 100)):
         lts, seq = _pick(rng, suite.systems)
         r = random_relation(rng, lts.n_states)
@@ -428,8 +428,8 @@ CHECKS = (
     ("lrf-largest", _lrf_largest),
     ("lrf-idempotent", _lrf_idempotent),
     # checker
-    ("checker-soundness", _checker_soundness),
-    ("checker-maximality", _checker_maximality),
+    ("checker-soundness", _proof_soundness),
+    ("checker-maximality", _proof_maximality),
     # gallery
     ("gallery-law", _gallery_law),
     ("gallery-consecutive-distinct", _gallery_consecutive_distinct),

@@ -157,10 +157,10 @@ def scalar_violations(lts, pairs, smat):
             ps, qs = lts.successors(p, a), lts.successors(q, a)
             for p1 in ps:
                 if not any(smat[p1, q1] for q1 in qs):
-                    yield ProgressViolation((p, q), "left", label.text, p, p1)
+                    yield ProgressViolation((p, q), "left", label.text, p1)
             for q1 in qs:
                 if not any(smat[p1, q1] for p1 in ps):
-                    yield ProgressViolation((p, q), "right", label.text, q, q1)
+                    yield ProgressViolation((p, q), "right", label.text, q1)
 
 
 def reference_random_relation(rng, n_states, density=None):

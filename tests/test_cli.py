@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +12,7 @@ import pytest
 from upto.cli import main
 from upto.formats import MAX_RENDERED_PAIRS
 from upto.gallery import GalleryVerdict, verify_gallery
-from upto.lts import MAX_STATES, MAX_TABLE_SLOTS
+from upto.lts import MAX_LATTICE_ELEMENTS, MAX_STATES, MAX_TABLE_SLOTS
 from upto.verify import run_verification
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
@@ -390,7 +394,7 @@ class TestErrorsAndPlumbing:
     def test_verify_reports_a_failing_check(self, capsys, monkeypatch):
         def flawed(n):
             verdict = verify_gallery(n)
-            return GalleryVerdict(False, verdict.checked, "planted") if n == 3 else verdict
+            return GalleryVerdict(verdict.checked, "planted") if n == 3 else verdict
 
         monkeypatch.setattr("upto.verify.verify_gallery", flawed)
         code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--samples", "30")
@@ -524,6 +528,28 @@ class TestTableLimit:
         )
 
 
+class TestLatticeLimit:
+    def test_element_count_past_the_limit_exits_2_at_once(self, tmp_path):
+        # a 600 KB chain of 20000 elements: closing its cover builds
+        # 20000 x 20000-bit orders, and its bound tables 4 * 10^8 slots
+        m = 20000
+        names = [f"c{i}" for i in range(m)]
+        lattice, progression = tmp_path / "chain.json", tmp_path / "empty.json"
+        cover = [[a, b] for a, b in zip(names, names[1:])]
+        lattice.write_text(json.dumps({"elements": names, "cover": cover}))
+        progression.write_text('{"pairs": []}')
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED, "lattice-companion", str(lattice), str(progression)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - start < 1.0
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: lattice has {m} elements; at most {MAX_LATTICE_ELEMENTS} are built\n"
+        )
+
+
 class TestDeepJson:
     # 200,000 opening brackets: json.loads gives up on the nesting
     DEEP = "[" * 200000
@@ -556,6 +582,103 @@ class TestDeepJson:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: ") and "nested too deeply" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+class TestExitCodeContract:
+    """Seeded mutations of valid documents through ``main``: every run ends
+    with exit 0, 1 or 2, and no exception escapes."""
+
+    RUNS = 1000
+    BUDGET_S = 5.0
+    # inserted or overwritten: syntax of both formats, digits, a non-ASCII
+    # digit, line breaks str.splitlines splits on, bytes that are no UTF-8
+    TOKENS = [
+        *(bytes([c]) for c in b'0129-"(),[]{}: \n'),
+        b"\r", b"\x00", b"\xff", b"\xc3", "\u0662".encode(), "\u2028".encode(),
+        b"null", b"true", b"1e9", b"des (0,1,2)", b'"a\\nb"', b"[[", b"]]", b'"top"', b'"bot"',
+    ]
+    SYSTEMS = [T2_AUT, LOOP_CYCLE_AUT, DEAD_LOOP_AUT]
+    RELATIONS = ["0 1\n", "1 2\n2 1\n", '{"name": "R", "pairs": [["0", "1"], ["1", "2"]]}']
+    COMMANDS = ["bisim", "strata", "export-dot", "companion", "check-upto", "lattice-companion"]
+
+    # put in place of one node of a JSON document
+    VALUES = [None, True, 0, 7, -1, 1.5, "", "x", "top", "a\nb", [], {}, ["0"], [["0", "1"]]]
+
+    def mutate(self, rng, text: str) -> bytes:
+        if text.startswith("{") and rng.random() < 0.5:
+            return self.mutate_json(rng, json.loads(text))
+        data = bytearray(text.encode())
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(data))
+            op = rng.randrange(5)
+            if op == 0:
+                del data[i : i + rng.randint(1, 3)]
+            elif op == 1:
+                data[i:i] = rng.choice(self.TOKENS)
+            elif op == 2:
+                data[i : i + 1] = rng.choice(self.TOKENS)
+            elif op == 3:
+                j = rng.randint(0, len(data))
+                data[i:i] = data[min(i, j) : max(i, j)]
+            else:
+                del data[i:]
+        return bytes(data)
+
+    def mutate_json(self, rng, data) -> bytes:
+        """data with one node, the root included, replaced or dropped."""
+        slots, stack = [], [data]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                keys = node.keys() if isinstance(node, dict) else range(len(node))
+                slots += [(node, key) for key in keys]
+                stack += [node[key] for key in keys]
+        slot = rng.randrange(len(slots) + 1)
+        if slot == len(slots):
+            return json.dumps(rng.choice(self.VALUES)).encode()
+        node, key = slots[slot]
+        if rng.random() < 0.2:
+            del node[key]
+        else:
+            node[key] = rng.choice(self.VALUES)
+        return json.dumps(data).encode()
+
+    def test_mutated_documents_exit_0_1_or_2(self, tmp_path):
+        rng = random.Random(19)
+        lattices = list(LATTICE_COMPANION_RUNS.values())
+        codes = {command: set() for command in self.COMMANDS}
+        start = time.monotonic()
+        for run in range(self.RUNS):
+            command = self.COMMANDS[run % len(self.COMMANDS)]
+            if command == "lattice-companion":
+                documents = list(rng.choice(lattices)[:2])
+            else:
+                documents = [rng.choice(self.SYSTEMS), rng.choice(self.RELATIONS)]
+                documents = documents[: 1 if command in ("bisim", "strata", "export-dot") else 2]
+            which = rng.randrange(len(documents) + 1)
+            paths = []
+            for k, text in enumerate(documents):
+                path = tmp_path / f"doc{k}"
+                both = which == len(documents)
+                path.write_bytes(self.mutate(rng, text) if both or which == k else text.encode())
+                paths.append(str(path))
+            argv = [command, *paths]
+            if command == "check-upto":
+                argv += ["--fn", rng.choice(["lrf", "upto_bisim", "identity"])]
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except (Exception, SystemExit) as e:
+                contents = [Path(p).read_bytes() for p in paths]
+                raise AssertionError(f"{argv[0]} on {contents!r} raised {e!r}") from e
+            assert code in (0, 1, 2), (argv[0], [Path(p).read_bytes() for p in paths])
+            assert (code == 2) == err.getvalue().startswith("error: ")
+            codes[command].add(code)
+        assert time.monotonic() - start < self.BUDGET_S
+        # the mutations reach past the parsers as well as into them
+        assert all({0, 2} <= seen for seen in codes.values()), codes
+        assert 1 in codes["check-upto"], codes
 
 
 class TestPipelines:

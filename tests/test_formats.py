@@ -23,7 +23,7 @@ from upto.formats import (
     parse_aut_document,
     parse_relation_document,
 )
-from upto.lts import MAX_STATES
+from upto.lts import MAX_LATTICE_ELEMENTS, MAX_STATES
 
 from helpers import small_lts
 
@@ -229,6 +229,20 @@ class TestLatticeDocuments:
         )
         with pytest.raises(LatticeValidationError):
             parse_lattice(text)
+
+    def test_element_count_past_the_limit(self, monkeypatch):
+        assert MAX_LATTICE_ELEMENTS == 1000
+        monkeypatch.setattr("upto.formats.MAX_LATTICE_ELEMENTS", 4)
+        assert parse_lattice(self.DIAMOND).size == 4
+
+        def no_closing(*args):
+            raise AssertionError("closed a lattice past the limit")
+
+        monkeypatch.setattr(Relation, "from_pairs", no_closing)
+        five = json.dumps({"elements": ["a", "b", "c", "d", "e"], "cover": []})
+        with pytest.raises(LatticeParseError) as error:
+            parse_lattice(five)
+        assert str(error.value) == "lattice has 5 elements; at most 4 are built"
 
     def test_progression_file(self):
         lat = parse_lattice(self.DIAMOND)

@@ -99,11 +99,9 @@ class TestVerifyGallery:
             return chain_from_rows(lts, [row + (row[pad],) for row in rows])
 
         monkeypatch.setattr("upto.gallery.compute_strata", planted)
-        assert verify_gallery(6) == GalleryVerdict(False, checked, discrepancy)
-
-    def test_verdict_invariant(self):
-        with pytest.raises(ValueError):
-            GalleryVerdict(passed=True, checked=1, discrepancy="boom")
+        verdict = verify_gallery(6)
+        assert verdict == GalleryVerdict(checked, discrepancy)
+        assert not verdict.passed
 
 
 class TestTransitionBudget:

@@ -1,135 +1,70 @@
-"""The library's records are named tuples: immutable, checked on construction."""
+"""The library's records are named tuples: immutable, and each verdict flag
+is a property derived from the evidence the record stores."""
 
+import ast
+import random
 from pathlib import Path
 
 import pytest
 
 import upto
-from upto.checker import CONTAINED, ProofReport
+from upto.checker import CONTAINED, INCONCLUSIVE, ProofReport, check_upto
 from upto.companion import (
     DominanceCounterexample,
     DominanceVerdict,
     RespectfulnessCounterexample,
     RespectfulnessVerdict,
     UpToFunction,
+    check_lrf_largest,
+    is_respectful_on_samples,
+    lrf_function,
 )
 from upto.formats import AutDocument, LatticeDocument, RelationDocument
 from upto.gallery import GalleryVerdict, OrdinalLts
 from upto.lattice import (
     LatticeChain,
+    LatticeProgression,
     MonotoneClassification,
     ProgressionVerdict,
     ProgressionViolation,
+    chain_lattice,
+    close_to_progression,
+    diamond_lattice,
+    is_progression,
+    z_chain,
 )
-from upto.lts import Label, Lts, ProgressDiagnosis, ProgressViolation, Relation
+from upto.lts import Label, Lts, ProgressDiagnosis, ProgressViolation, Relation, progresses_to
+from upto.sampling import random_lts_pool, random_relation
+from upto.strata import compute_strata
 from upto.verify import CheckResult, VerificationReport, run_verification
 
 LTS = Lts(["0", "1"], [(1, "a", 0)])
 R = Relation.identity(2)
-VIOLATION = ProgressViolation((0, 1), "right", "a", 1, 0)
-HOLDS = ProgressDiagnosis(True, ())
+VIOLATION = ProgressViolation((0, 1), "right", "a", 0)
+HOLDS = ProgressDiagnosis(())
 
 RECORDS = [
     Label("a"),
     HOLDS,
     VIOLATION,
-    ProofReport("R", "lrf", True, CONTAINED, HOLDS, True),
+    ProofReport("R", "lrf", True, HOLDS, True),
     UpToFunction("identity", LTS, lambda r: r),
-    RespectfulnessCounterexample(R, R, "inclusion", None),
-    RespectfulnessVerdict(True, None, 1, 0),
+    RespectfulnessCounterexample(R, R, None),
+    RespectfulnessVerdict(None, 1, 0),
     DominanceCounterexample(R, "identity", R, R),
-    DominanceVerdict(True, None, 1),
+    DominanceVerdict(None, 1),
     AutDocument((0, 1, 2), ((1, "a", 0),)),
     RelationDocument((("0", "1"),)),
     LatticeDocument(("a",), (), "leq"),
     OrdinalLts(0, LTS),
-    GalleryVerdict(True, 1, None),
+    GalleryVerdict(1, None),
     ProgressionViolation(1, (0, 0), "order closure requires (a, a)"),
-    ProgressionVerdict(True, (), 0),
-    LatticeChain((0,), 0),
+    ProgressionVerdict((), 0),
+    LatticeChain((0,)),
     MonotoneClassification(1, 1, 1, 0, 0, None, None),
     CheckResult("gallery-law", True, 1),
     VerificationReport(0, 1, [], []),
 ]
-
-NO_VIOLATIONS = "holds must be true iff there are no violations"
-
-# each record's former __post_init__ check: a violating field set and its message
-INVALID = [
-    (Label, {"text": ""}, "label text must be non-empty"),
-    (Label, {"text": "a\nb"}, "label text 'a\\nb' contains a line break"),
-    (ProgressDiagnosis, {"holds": True, "violations": (VIOLATION,)}, NO_VIOLATIONS),
-    (ProgressDiagnosis, {"holds": False, "violations": ()}, NO_VIOLATIONS),
-    (
-        AutDocument,
-        {"header": (0, 2, 2), "body": ((1, "a", 0),)},
-        "transition count in header does not match body",
-    ),
-    (AutDocument, {"header": (2, 0, 2), "body": ()}, "initial state out of range"),
-    (AutDocument, {"header": (0, 1, 2), "body": ((1, "a", 2),)}, "transition endpoint out of range"),
-    (
-        GalleryVerdict,
-        {"passed": True, "checked": 1, "discrepancy": "boom"},
-        "discrepancy must be present iff the verdict fails",
-    ),
-    (
-        GalleryVerdict,
-        {"passed": False, "checked": 1, "discrepancy": None},
-        "discrepancy must be present iff the verdict fails",
-    ),
-    (
-        ProofReport,
-        {
-            "relation_name": "R",
-            "function_name": "lrf",
-            "progression_holds": True,
-            "conclusion": "maybe",
-            "diagnosis": HOLDS,
-            "cross_check": True,
-        },
-        "unknown conclusion 'maybe'",
-    ),
-    (
-        RespectfulnessVerdict,
-        {"holds_on_samples": False, "counterexample": None, "samples_checked": 1, "samples_skipped": 0},
-        "counterexample must be present iff the verdict fails",
-    ),
-    (
-        RespectfulnessVerdict,
-        {
-            "holds_on_samples": True,
-            "counterexample": RespectfulnessCounterexample(R, R, "inclusion", None),
-            "samples_checked": 1,
-            "samples_skipped": 0,
-        },
-        "counterexample must be present iff the verdict fails",
-    ),
-    (
-        LatticeChain,
-        {"zs": (3, 1), "stable_index": 0},
-        "stable_index must index the last stored chain element",
-    ),
-]
-INVALID_IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(INVALID)]
-
-
-class TestChecks:
-    @pytest.mark.parametrize("cls, fields, message", INVALID, ids=INVALID_IDS)
-    def test_positional_and_keyword_construction_check(self, cls, fields, message):
-        for build in (lambda: cls(*fields.values()), lambda: cls(**fields)):
-            with pytest.raises(ValueError) as error:
-                build()
-            assert str(error.value) == message
-
-    @pytest.mark.parametrize("cls, fields, message", INVALID, ids=INVALID_IDS)
-    def test_make_and_replace_check(self, cls, fields, message):
-        with pytest.raises(ValueError) as error:
-            cls._make(fields.values())
-        assert str(error.value) == message
-        valid = next(r for r in RECORDS if type(r) is cls)
-        with pytest.raises(ValueError) as error:
-            valid._replace(**fields)
-        assert str(error.value) == message
 
 
 class TestNamedTuples:
@@ -148,10 +83,10 @@ class TestNamedTuples:
 
     def test_records_are_tuples(self):
         assert Label("a") == ("a",)
-        assert tuple(HOLDS) == (True, ())
-        holds, violations = HOLDS
-        assert (holds, violations) == (True, ())
-        assert GalleryVerdict(True, 3, None)._replace(checked=4) == (True, 4, None)
+        assert tuple(HOLDS) == ((),)
+        (violations,) = HOLDS
+        assert violations == () and HOLDS.holds
+        assert GalleryVerdict(3, None)._replace(checked=4) == (4, None)
         assert VerificationReport._fields == ("seed", "samples", "checks", "info")
 
     def test_reports_do_not_share_their_lists(self):
@@ -168,3 +103,93 @@ class TestNamedTuples:
     def test_no_module_imports_dataclasses(self):
         for path in Path(upto.__file__).parent.glob("*.py"):
             assert "dataclass" not in path.read_text(), path.name
+
+
+class TestDerivedFields:
+    """Each verdict flag, read off records that real calls return, agrees
+    with the evidence the record stores."""
+
+    def test_progress_diagnosis(self, loop_vs_cycle, deadlock_vs_loop):
+        holding = progresses_to(loop_vs_cycle, Relation.full(3), Relation.full(3))
+        assert holding.holds and holding.violations == ()
+        r = Relation.from_pairs(2, [(0, 1)])
+        failing = progresses_to(deadlock_vs_loop, r, r)
+        assert not failing.holds and failing.violations
+
+    def test_violation_source_is_the_moving_state(self):
+        rng = random.Random(19)
+        seen = set()
+        for lts in random_lts_pool(rng, 30, max_states=5):
+            moves = set(lts.triples())
+            n = lts.n_states
+            diagnosis = progresses_to(lts, random_relation(rng, n), random_relation(rng, n))
+            for v in diagnosis.violations:
+                side = {"left": 0, "right": 1}[v.direction]
+                assert v.source == v.pair[side]
+                assert (v.source, v.label, v.target) in moves
+                seen.add(v.direction)
+        assert seen == {"left", "right"}
+
+    def test_proof_report(self, loop_vs_cycle, deadlock_vs_loop):
+        seq = compute_strata(loop_vs_cycle)
+        r = Relation.from_pairs(3, [(0, 1)])
+        trusted = check_upto(loop_vs_cycle, r, lrf_function(seq), seq=seq)
+        assert trusted.trusted and trusted.progression_holds and trusted.diagnosis.holds
+        assert trusted.conclusion == CONTAINED
+        homemade = UpToFunction("homemade", loop_vs_cycle, lambda r: Relation.full(3))
+        untrusted = check_upto(loop_vs_cycle, r, homemade, seq=seq)
+        assert not untrusted.trusted and untrusted.progression_holds
+        assert untrusted.conclusion == INCONCLUSIVE
+        seq = compute_strata(deadlock_vs_loop)
+        r = Relation.from_pairs(2, [(0, 1)])
+        failing = check_upto(deadlock_vs_loop, r, lrf_function(seq), seq=seq)
+        assert failing.trusted and not failing.progression_holds
+        assert failing.diagnosis.violations and failing.conclusion == INCONCLUSIVE
+
+    def test_respectfulness_counterexample_of_each_clause(self, t2):
+        # the empty relation lies inside the identity and progresses to it
+        sample = (Relation.empty(3), Relation.identity(3))
+        complement = UpToFunction("complement", t2, lambda r: Relation.full(3) - r)
+        inclusion = is_respectful_on_samples(complement, [sample])
+        assert not inclusion.holds_on_samples
+        assert inclusion.counterexample.clause == "inclusion"
+        assert inclusion.counterexample.diagnosis is None
+        extra = Relation.from_pairs(3, [(1, 2)])
+        inject = UpToFunction("inject", t2, lambda r: r | extra)
+        progression = is_respectful_on_samples(inject, [sample])
+        assert not progression.holds_on_samples
+        assert progression.counterexample.clause == "progression"
+        assert not progression.counterexample.diagnosis.holds
+        identity = UpToFunction("identity", t2, lambda r: r)
+        holding = is_respectful_on_samples(identity, [sample])
+        assert holding.holds_on_samples and holding.counterexample is None
+
+    def test_dominance(self, t2):
+        seq = compute_strata(t2)
+        full = UpToFunction("full", t2, lambda r: Relation.full(3))
+        failing = check_lrf_largest(seq, [full], [Relation.empty(3)])
+        assert not failing.holds and failing.counterexample.function_name == "full"
+        holding = check_lrf_largest(seq, [lrf_function(seq)], [Relation.empty(3)])
+        assert holding.holds and holding.counterexample is None
+
+    def test_progression_verdict(self):
+        lat = chain_lattice(2)
+        assert is_progression(lat, lat.order).holds
+        verdict = is_progression(lat, [(1, 1)])
+        assert not verdict.holds and verdict.violation_count == len(verdict.violations) > 0
+
+    def test_lattice_chain(self):
+        lat = diamond_lattice()
+        assert z_chain(lat, LatticeProgression(lat, lat.order)) == ((lat.top,),)
+        assert z_chain(lat, LatticeProgression(lat, lat.order)).stable_index == 0
+        # every pre-image of the least progression on a chain joins to the bottom
+        lat = chain_lattice(3)
+        chain = z_chain(lat, close_to_progression(lat, []))
+        assert chain.zs == (lat.top, lat.bottom) and chain.stable_index == 1
+
+    def test_no_module_keeps_a_flag_check(self):
+        # definitions, imports, names and attributes alike
+        for path in Path(upto.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = next((getattr(node, k) for k in ("name", "id", "attr") if hasattr(node, k)), None)
+                assert name not in ("Validated", "_check"), f"{path.name}: {name}"

@@ -11,7 +11,7 @@ from upto import Lts, Relation, compute_strata, largest_progressing_to, lrf, pro
 from upto.formats import render_relation
 from upto.gallery import build_T
 from upto.sampling import random_lts
-from upto.strata import StrataSequence, _canonical, _check_tree
+from upto.strata import StrataSequence, _canonical, _validate_tree
 
 from helpers import (
     all_relations,
@@ -124,8 +124,8 @@ class TestSequenceValidation:
     )
     def test_tree_check_rejects_bad_trees(self, tree, message):
         with pytest.raises(ValueError, match=message):
-            _check_tree(*tree)
-        _check_tree([0, 1], [0, 0], [0, 1], 1)
+            _validate_tree(*tree)
+        _validate_tree([0, 1], [0, 0], [0, 1], 1)
 
     def test_constructor_checks_the_state_count(self, t2):
         # T_2 has three states

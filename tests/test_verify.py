@@ -102,7 +102,7 @@ def test_workers_inherit_a_patched_dependency(capsys, monkeypatch):
 
     def flawed(n):
         verdict = verify_gallery(n)
-        return GalleryVerdict(False, verdict.checked, "planted") if n == 3 else verdict
+        return GalleryVerdict(verdict.checked, "planted") if n == 3 else verdict
 
     monkeypatch.setattr("upto.verify.verify_gallery", flawed)
     assert main(["verify", "--seed", "7", "--samples", "30"]) == 1
