@@ -24,12 +24,12 @@ _EXPORTS = {
         "check_lrf_largest is_respectful_on_samples lrf lrf_function",
         "formats": "AutDocument AutParseError LatticeDocument RelationDocument export_dot "
         "parse_aut parse_lattice parse_progression parse_relation render_aut render_relation",
-        "gallery": "GalleryVerdict OrdinalLts build_T verify_gallery",
+        "gallery": "GalleryVerdict build_T verify_gallery",
         "lattice": "FiniteLattice LatticeChain LatticeProgression LatticeValidationError "
         "ProgressionVerdict brute_force_largest chain_companion close_to_progression "
         "companion_at descending_chain element_relation is_compatible is_monotone "
         "is_progression is_r_monotone validate_lattice z_chain",
-        "lts": "Label Lts ProgressDiagnosis ProgressViolation Relation "
+        "lts": "Lts ProgressDiagnosis ProgressViolation Relation "
         "largest_progressing_to progress_holds progresses_to",
         "strata": "StrataSequence compute_strata",
         "verify": "VerificationReport run_verification",

@@ -115,7 +115,7 @@ def _cmd_gallery(args) -> int:
             return OK
         print(f"gallery n={args.n}: FAIL ({verdict.discrepancy})")
         return CHECK_FAILED
-    sys.stdout.write(render_aut(build_T(args.n).lts))
+    sys.stdout.write(render_aut(build_T(args.n)))
     return OK
 
 

@@ -18,13 +18,6 @@ GALLERY_LABEL = "t"
 MAX_GALLERY_TRANSITIONS = 10**6
 
 
-class OrdinalLts(NamedTuple):
-    """T_n: states 0..n, one label, i -> j iff i > j."""
-
-    n: int
-    lts: Lts
-
-
 class GalleryVerdict(NamedTuple):
     checked: int
     discrepancy: Optional[str]
@@ -46,11 +39,12 @@ def _within_budget(n: int) -> None:
         )
 
 
-def build_T(n: int) -> OrdinalLts:
+def build_T(n: int) -> Lts:
+    """T_n: states 0..n, one label, i -> j iff i > j."""
     _within_budget(n)
     names = [str(i) for i in range(n + 1)]
     triples = ((i, GALLERY_LABEL, j) for i in range(n + 1) for j in range(i))
-    return OrdinalLts(n=n, lts=Lts(names, triples))
+    return Lts(names, triples)
 
 
 def _law_holds(ids: list[int], g: int) -> bool:
@@ -92,12 +86,12 @@ def verify_gallery(n: int) -> GalleryVerdict:
     # the sign of n first, then the budget of the larger system, T_{n+1}
     _within_budget(n)
     _within_budget(n + 1)
-    seq = compute_strata(build_T(n).lts)
+    seq = compute_strata(build_T(n))
     last = seq.epsilon
     if not all(_law_holds(seq._row(min(g, last)), g) for g in range(last + 2)):
         return _first_discrepancy(n, seq)
 
-    above = compute_strata(build_T(n + 1).lts)
+    above = compute_strata(build_T(n + 1))
     checked = n * (n + 1) // 2 * (last + 2) + 2
     if (n, n + 1) not in above.stratum(n):
         return GalleryVerdict(

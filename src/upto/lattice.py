@@ -15,17 +15,16 @@ sense.
 Every relation on lattice elements is a row-bitset ``Relation`` of ``lts``:
 the order of a ``FiniteLattice`` (row i is the up-set of i, column i its
 down-set) and the relation of a ``LatticeProgression``; joins and meets are
-int tables.  Checking a progression and closing a seed into one share one
-step, the pairs both conditions require.  The enumeration builds only the
-functions preserving a relation: it picks each value in turn among those
-that the relation's rows and columns at the earlier points allow.  The
-library uses no numpy; ``FiniteLattice.leq`` is a numpy view on request.
+int tables.  A relation over another point count than the lattice's elements
+is refused with ``ValueError``.  Checking a progression and closing a seed
+into one share one step, the pairs both conditions require.  The enumeration
+builds only the functions preserving a relation: it picks each value in turn
+among those that the relation's rows and columns at the earlier points allow.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .lts import Relation
@@ -64,11 +63,6 @@ class FiniteLattice:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @property
-    def leq(self):
-        """The order as a read-only m x m numpy boolean array, built on each request."""
-        return self.order.matrix
 
     def index(self, name: str) -> int:
         try:
@@ -109,21 +103,13 @@ class FiniteLattice:
         return f"FiniteLattice({self.size} elements, top={self.elements[self.top]!r})"
 
 
-def _as_relation(m: int, rel) -> Relation:
-    """A relation on m elements, given as a Relation, a boolean matrix or index pairs."""
-    if isinstance(rel, Relation) and rel.n_states == m:
-        return rel
-    if hasattr(rel, "shape"):
-        if rel.shape != (m, m):
-            raise ValueError(f"order matrix shape {rel.shape} does not match {m} elements")
-        return Relation(m, rel)
-    rows = [0] * m
-    for a, b in rel:
-        a, b = index(a), index(b)
-        if not (0 <= a < m and 0 <= b < m):
-            raise ValueError(f"pair ({a}, {b}) out of range for {m} elements")
-        rows[a] |= 1 << b
-    return Relation._from_rows(m, tuple(rows))
+def _fits(m: int, rel: Relation) -> Relation:
+    """rel, when it is a relation on the m elements of a lattice."""
+    if rel.n_states != m:
+        raise ValueError(
+            f"relation on {rel.n_states} points does not fit a lattice of {m} elements"
+        )
+    return rel
 
 
 def _bound_table(masks: tuple[int, ...], names: Sequence[str], kind: str):
@@ -148,15 +134,14 @@ def _bound_table(masks: tuple[int, ...], names: Sequence[str], kind: str):
     return tuple(map(tuple, table)), violations
 
 
-def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
+def validate_lattice(elements: Sequence[str], order: Relation) -> FiniteLattice:
     """Check the lattice axioms on (elements, order) and build the structure.
 
-    order is a Relation, a boolean matrix over element indices or an
-    iterable of index pairs, and must already be the full order (parsers
-    close cover relations first).  Raises LatticeValidationError carrying
-    every violation found: poset axioms first, then missing binary
-    joins/meets.  For a finite poset all binary bounds plus non-emptiness
-    give completeness.
+    order is a Relation on the element indices, and must already be the
+    full order (parsers close cover relations first).  Raises
+    LatticeValidationError carrying every violation found: poset axioms
+    first, then missing binary joins/meets.  For a finite poset all binary
+    bounds plus non-emptiness give completeness.
     """
     names = [str(e) for e in elements]
     violations: list[str] = []
@@ -165,7 +150,7 @@ def validate_lattice(elements: Sequence[str], order) -> FiniteLattice:
     if len(set(names)) != len(names):
         raise LatticeValidationError(["element names are not pairwise distinct"])
     m = len(names)
-    order = _as_relation(m, order)
+    _fits(m, order)
 
     for i, row in enumerate(order.row_bits):
         if not row >> i & 1:
@@ -227,15 +212,14 @@ def _required(lattice: FiniteLattice, rel: Relation) -> tuple[Relation, tuple[in
     return order.compose(rel).compose(order), _pre_image_joins(lattice, rel)
 
 
-def is_progression(lattice: FiniteLattice, rel) -> ProgressionVerdict:
+def is_progression(lattice: FiniteLattice, rel: Relation) -> ProgressionVerdict:
     """Exhaustively check both progression conditions on a candidate relation.
 
     Condition 1: composing with the order on either side stays inside the
     relation.  Condition 2: every pre-image contains its own join.  The
     verdict reports at most 100 witnesses but counts them all.
     """
-    rel = _as_relation(lattice.size, rel)
-    closure, joins = _required(lattice, rel)
+    closure, joins = _required(lattice, _fits(lattice.size, rel))
     unclosed = (closure - rel).pairs
     unjoined = [(j, b) for b, j in enumerate(joins) if (j, b) not in rel]
     names, cap = lattice.elements, ProgressionVerdict._CAP
@@ -260,8 +244,7 @@ class LatticeProgression:
 
     __slots__ = ("lattice", "rel", "s_vector")
 
-    def __init__(self, lattice: FiniteLattice, rel):
-        rel = _as_relation(lattice.size, rel)
+    def __init__(self, lattice: FiniteLattice, rel: Relation):
         verdict = is_progression(lattice, rel)
         if not verdict.holds:
             first = verdict.violations[0].description if verdict.violations else ""
@@ -276,7 +259,7 @@ class LatticeProgression:
         raise AttributeError("LatticeProgression is immutable")
 
 
-def close_to_progression(lattice: FiniteLattice, seed) -> LatticeProgression:
+def close_to_progression(lattice: FiniteLattice, seed: Relation) -> LatticeProgression:
     """Grow a seed relation into the least progression containing it.
 
     Adds everything the two conditions require until nothing is missing.
@@ -285,10 +268,11 @@ def close_to_progression(lattice: FiniteLattice, seed) -> LatticeProgression:
     the seed is unique and the order of the additions cannot change it.
     """
     m = lattice.size
-    rel = _as_relation(m, seed)
+    rel = _fits(m, seed)
     while True:
         closure, joins = _required(lattice, rel)
-        new = rel | closure | _as_relation(m, ((j, b) for b, j in enumerate(joins)))
+        # (joins[b], b) for every b
+        new = rel | closure | Relation.from_pairs(m, zip(joins, range(m)))
         if new == rel:
             return LatticeProgression(lattice, rel)
         rel = new
@@ -504,7 +488,8 @@ def chain_lattice(length: int) -> FiniteLattice:
     if length < 1:
         raise ValueError("chain needs at least one element")
     names = [f"c{i}" for i in range(length)]
-    return validate_lattice(names, [(a, b) for a in range(length) for b in range(a, length)])
+    pairs = [(a, b) for a in range(length) for b in range(a, length)]
+    return validate_lattice(names, Relation.from_pairs(length, pairs))
 
 
 def diamond_lattice() -> FiniteLattice:
@@ -512,7 +497,7 @@ def diamond_lattice() -> FiniteLattice:
     names = ["bot", "x", "y", "top"]
     pairs = [(a, a) for a in range(4)]
     pairs += [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
-    return validate_lattice(names, pairs)
+    return validate_lattice(names, Relation.from_pairs(4, pairs))
 
 
 def _inclusion(n_bits: int) -> Relation:
@@ -540,7 +525,7 @@ def pentagon_lattice() -> FiniteLattice:
     names = ["bot", "a", "b", "c", "top"]
     pairs = [(i, i) for i in range(5)]
     pairs += [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)]
-    return validate_lattice(names, pairs)
+    return validate_lattice(names, Relation.from_pairs(5, pairs))
 
 
 def m3_lattice() -> FiniteLattice:
@@ -549,7 +534,7 @@ def m3_lattice() -> FiniteLattice:
     pairs = [(i, i) for i in range(5)]
     pairs += [(0, k) for k in (1, 2, 3, 4)]
     pairs += [(k, 4) for k in (1, 2, 3)]
-    return validate_lattice(names, pairs)
+    return validate_lattice(names, Relation.from_pairs(5, pairs))
 
 
 def element_relation(n_states: int, index: int) -> Relation:

@@ -15,13 +15,11 @@ product is involved, and no generator is started per pair.
 
 An ``Lts`` keeps its transitions once, in a successor table: ``_succ[p][a]``
 holds p's a-successors, sorted.  A relation is one int per state: bit q of
-``Relation.row_bits[p]`` is set iff (p, q) is in it.  Its n x n numpy
-boolean matrix is only a view on request, and ``Relation(n, matrix)`` reads
-one; only these two load numpy.  The walk tests each move with one AND of a
-row (or column) of the target and a successor bitset (bit q of
-``Lts._successor_bits()[p][a]`` is set when p has an a-move to q).  A
-relation's q's come from its cached ``pairs``, not from walking the bits of
-wide rows.  Columns are built when a right move first needs them; an
+``Relation.row_bits[p]`` is set iff (p, q) is in it.  The walk tests each
+move with one AND of a row (or column) of the target and a successor bitset
+(bit q of ``Lts._successor_bits()[p][a]`` is set when p has an a-move to q).
+A relation's q's come from its cached ``pairs``, not from walking the bits
+of wide rows.  Columns are built when a right move first needs them; an
 equivalence's columns are its rows.  An n-state relation's rows take at most
 n^2/8 bytes, the successor bitsets n/8 bytes per state and label.
 """
@@ -41,20 +39,14 @@ MAX_STATES = 10**6
 MAX_LATTICE_ELEMENTS = 1000
 
 
-class Label(NamedTuple):
-    """A transition label; equal iff the texts are equal.  ``Lts`` checks
-    the text of every label it interns."""
-
-    text: str
-
-
 class Lts:
-    """An immutable finite LTS: named states, interned labels, one successor table.
+    """An immutable finite LTS: named states, label texts, one successor table.
 
     ``_succ[p][a]`` is the sorted tuple of p's targets under label index a, one
     slot per state and label, at most ``MAX_TABLE_SLOTS``; ``triples``, equality
-    and hashing read it.  Labels are interned in sorted text order, so label
-    index order and text order coincide and every iteration is deterministic.
+    and hashing read it.  ``labels`` is the tuple of label texts in sorted
+    order, so label index order and text order coincide and every iteration
+    is deterministic.
     """
 
     __slots__ = ("n_states", "state_names", "labels", "_succ", "_succ_bits")
@@ -72,21 +64,20 @@ class Lts:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"transition ({p}, {a!r}, {q}) out of range for {n} states")
             codes.setdefault(a, []).append(p * n + q)
-        texts = sorted(codes)
-        for text in texts:
+        labels = tuple(sorted(codes))
+        for text in labels:
             if not text:
                 raise ValueError("label text must be non-empty")
             # a line break would split the label's line in an .aut file
             if text.splitlines() != [text]:
                 raise ValueError(f"label text {text!r} contains a line break")
-        labels = tuple(map(Label, texts))
         if n * len(labels) > MAX_TABLE_SLOTS:
             need = f"{n} states and {len(labels)} labels need {n * len(labels)} successor table"
             raise ValueError(f"{need} slots; at most {MAX_TABLE_SLOTS} are built")
         rows = [[()] * len(labels) for _ in range(n)]
         for a, label in enumerate(labels):
             # sorted codes group by source state, with targets sorted within
-            for p, moves in groupby(sorted(set(codes.pop(label.text))), n.__rfloordiv__):
+            for p, moves in groupby(sorted(set(codes.pop(label))), n.__rfloordiv__):
                 rows[p][a] = tuple([c % n for c in moves])
         for name, value in zip(self.__slots__, (n, names, labels, tuple(map(tuple, rows)), None)):
             object.__setattr__(self, name, value)
@@ -106,9 +97,8 @@ class Lts:
 
     def triples(self) -> Iterator[tuple[int, str, int]]:
         """All transitions as (source, label text, target), canonically ordered."""
-        texts = [label.text for label in self.labels]
         for p, row in enumerate(self._succ):
-            for text, qs in zip(texts, row):
+            for text, qs in zip(self.labels, row):
                 for q in qs:
                     yield (p, text, q)
 
@@ -138,23 +128,13 @@ class Relation:
 
     Bit q of ``row_bits[p]`` is set iff (p, q) is in the relation; every
     operation works on these ints, and the matrix, pairs and column bitsets
-    are derived on request.  Operations are exact and only combine relations
-    with matching state counts.  Instances are immutable and hashable.
+    are derived on request.  Build one with ``from_pairs``, ``empty``,
+    ``full`` or ``identity``.  Operations are exact and only combine
+    relations with matching state counts.  Instances are immutable and
+    hashable.
     """
 
     __slots__ = ("n_states", "row_bits", "_cols", "_pairs", "_size")
-
-    def __init__(self, n_states: int, matrix):
-        import numpy as np
-
-        mat = np.asarray(matrix, dtype=bool)
-        if mat.shape != (n_states, n_states):
-            raise ValueError(f"matrix shape {mat.shape} does not match {n_states} states")
-        # row p as an int, column k at bit k
-        packed = np.packbits(mat, axis=1, bitorder="little")
-        rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-        for set_slot, value in zip(_SLOT_SETTERS, (n_states, rows, None, None, None)):
-            set_slot(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Relation is immutable")
@@ -202,7 +182,11 @@ class Relation:
 
     @property
     def matrix(self):
-        """The relation as a read-only n x n numpy boolean array, built on each request."""
+        """The relation as a read-only n x n numpy boolean array, built on each request.
+
+        It needs numpy, which the package does not require, and stays only
+        for the benchmark's tracer, until that stops reading it (ROADMAP
+        item 1)."""
         import numpy as np
 
         n = self.n_states
@@ -403,7 +387,7 @@ def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None) -> i
                         last = q
                     if stop:
                         break
-                    moves.append(ProgressViolation((p, q), "left", label.text, p1))
+                    moves.append(ProgressViolation((p, q), "left", label, p1))
             else:
                 if cols is None and qs1:
                     cols = s.column_bits
@@ -414,7 +398,7 @@ def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None) -> i
                             last = q
                         if stop:
                             break
-                        moves.append(ProgressViolation((p, q), "right", label.text, q1))
+                        moves.append(ProgressViolation((p, q), "right", label, q1))
                 else:
                     continue
             break  # only a stopping walk gets here, at q's first unmatched move

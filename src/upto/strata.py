@@ -16,10 +16,10 @@ signature gained or lost.  A state whose signature changed is regrouped by
 its old block and that change, exact because block-mates shared the old
 signature.  A state moves only into a piece at most half the size of its
 block, so it moves O(log n) times: the chain costs O(m log n) dictionary
-operations for m transitions, without numpy.  Nested partitions form a tree,
-and the chain is stored as that tree in O(n) memory, which is also the one
-thing a StrataSequence is built from; a stratum becomes a Relation when
-asked for: one row bitset per block.
+operations for m transitions.  Nested partitions form a tree, and the chain
+is stored as that tree in O(n) memory, which is also the one thing a
+StrataSequence is built from; a stratum becomes a Relation when asked for:
+one row bitset per block.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ from collections import Counter
 from typing import Sequence
 
 from .lts import Lts, Relation
-
-
-def _canonical(row: Sequence[int]) -> tuple[int, ...]:
-    """Renumber block ids in order of first occurrence, so equal partitions
-    get equal rows."""
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(b, len(first)) for b in row)
 
 
 def _block_rows(ids: Sequence[int]) -> tuple[int, ...]:
@@ -132,11 +125,6 @@ class StrataSequence:
 
     def __repr__(self):
         return f"StrataSequence({self.lts!r}, epsilon={self.epsilon})"
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Every row of block ids, numbered in order of first occurrence."""
-        return tuple(_canonical(self._row(k)) for k in range(self.epsilon + 1))
 
     def _row(self, k: int) -> list[int]:
         """The block ids of stratum k: each state's nearest ancestor born by round k."""

@@ -329,7 +329,7 @@ def _gallery_law(suite: _Suite, rng: random.Random):
 
 def _gallery_consecutive_distinct(suite: _Suite, rng: random.Random):
     for n in range(GALLERY_MAX + 1):
-        seq = compute_strata(build_T(n + 1).lts)
+        seq = compute_strata(build_T(n + 1))
         ok = seq.stratum(n) != seq.stratum(n + 1)
         yield 1, None if ok else f"strata {n} and {n + 1} agree on T_{n + 1}"
 
@@ -383,7 +383,7 @@ def _largest_coincidence(suite: _Suite, rng: random.Random):
 def _bridge_agreement(suite: _Suite, rng: random.Random):
     # the companion on the powerset of pairs: the chain of largest_progressing_to
     # from the full relation is the strata, and its companion is lrf
-    t1 = build_T(1).lts
+    t1 = build_T(1)
     systems = [(t1, compute_strata(t1)), *suite.systems]
     per_system = _clamp(suite.samples // len(systems), 5, 100)
     for lts, seq in systems:

@@ -6,7 +6,7 @@ from upto.gallery import build_T
 
 @pytest.fixture
 def t2():
-    return build_T(2).lts
+    return build_T(2)
 
 
 @pytest.fixture

@@ -16,8 +16,10 @@ relations of a system as a powerset lattice with progress as its
 progression, the oracle of the library's companion on relations.
 chain_from_rows and chain_from_relations build a chain's refinement tree
 from rows of block ids or from equivalence relations, numbered apart from
-compute_strata's, and fixpoint_lrf computes the largest respectful function
-as the greatest fixpoint of its definition, on every relation.
+compute_strata's, and blocks reads a chain back as canonical rows of block
+ids.  fixpoint_lrf computes the largest respectful function as the greatest
+fixpoint of its definition, on every relation.  matrix_relation is the one
+way a test turns a numpy boolean matrix into a Relation.
 """
 
 import itertools
@@ -28,7 +30,28 @@ import numpy as np
 from upto import LatticeProgression, Lts, Relation, element_relation, validate_lattice
 from upto.lattice import MonotoneClassification, _inclusion
 from upto.lts import ProgressViolation, largest_progressing_to
-from upto.strata import StrataSequence, _block_rows, _canonical
+from upto.strata import StrataSequence, _block_rows
+
+
+def matrix_relation(mat):
+    """The Relation whose pairs are the true entries of a square boolean matrix."""
+    mat = np.asarray(mat, dtype=bool)
+    n = len(mat)
+    if mat.shape != (n, n):
+        raise ValueError(f"matrix shape {mat.shape} is not square")
+    return Relation.from_pairs(n, np.argwhere(mat).tolist())
+
+
+def canonical(row):
+    """Renumber block ids in order of first occurrence, so equal partitions
+    get equal rows."""
+    first = {}
+    return tuple(first.setdefault(b, len(first)) for b in row)
+
+
+def blocks(seq):
+    """Every row of block ids of a chain, strata 0..epsilon, each canonical."""
+    return tuple(canonical(seq._row(k)) for k in range(seq.epsilon + 1))
 
 
 def refinement_strata(lts):
@@ -70,7 +93,7 @@ def chain_from_rows(lts, rows):
     built as its refinement tree: the first piece of a split, in state
     order, keeps the block's id, where compute_strata keeps the largest."""
     n = lts.n_states
-    rows = [_canonical(row) for row in rows]
+    rows = [canonical(row) for row in rows]
     if not rows or any(len(row) != n for row in rows):
         raise ValueError(f"block rows do not fit {n} states")
     if any(rows[0]):
@@ -126,7 +149,7 @@ def matrix_largest_progressing_to(lts, s):
         # Clause 2 is the mirror image.
         can_right = (t @ smat) > 0
         good &= (~can_right @ t.T) == 0
-    return Relation(n, good)
+    return matrix_relation(good)
 
 
 def matrix_strata(lts):
@@ -157,10 +180,10 @@ def scalar_violations(lts, pairs, smat):
             ps, qs = lts.successors(p, a), lts.successors(q, a)
             for p1 in ps:
                 if not any(smat[p1, q1] for q1 in qs):
-                    yield ProgressViolation((p, q), "left", label.text, p1)
+                    yield ProgressViolation((p, q), "left", label, p1)
             for q1 in qs:
                 if not any(smat[p1, q1] for p1 in ps):
-                    yield ProgressViolation((p, q), "right", label.text, q1)
+                    yield ProgressViolation((p, q), "right", label, q1)
 
 
 def reference_random_relation(rng, n_states, density=None):

@@ -76,12 +76,12 @@ def test_criterion_1_gallery_law_exact():
     with criterion(1, "gallery stratum law, n <= 8"):
         start = time.monotonic()
         for n in range(9):
-            seq = compute_strata(build_T(n).lts)
+            seq = compute_strata(build_T(n))
             for a in range(n + 1):
                 for b in range(a + 1, n + 1):
                     for g in range(seq.epsilon + 2):
                         assert ((a, b) in seq.stratum(g)) == (g <= a)
-            above = compute_strata(build_T(n + 1).lts)
+            above = compute_strata(build_T(n + 1))
             assert (n, n + 1) in above.stratum(n)
             assert (n, n + 1) not in above.stratum(n + 1)
         assert time.monotonic() - start < 5.0
@@ -202,8 +202,8 @@ def test_criterion_7_lattice_companion_coincidence():
 def test_criterion_8_bridge_recovers_relation_results():
     with criterion(8, "powerset-lattice companion equals lrf"):
         suite = [
-            build_T(1).lts,
-            build_T(2).lts,
+            build_T(1),
+            build_T(2),
             Lts(["d"], []),
             Lts(["p"], [(0, "a", 0)]),
             Lts(["d", "l"], [(1, "a", 1)]),

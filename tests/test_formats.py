@@ -59,7 +59,7 @@ class TestParseAut:
 
     def test_label_content_kept_exactly(self):
         lts = parse_aut('des (0,1,2)\n(0,"tau, maybe",1)\n')
-        assert lts.labels[0].text == "tau, maybe"
+        assert lts.labels[0] == "tau, maybe"
 
     def test_malformed_header(self):
         with pytest.raises(AutParseError, match="line 1.*header"):

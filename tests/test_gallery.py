@@ -5,18 +5,17 @@ import pytest
 from upto import compute_strata
 from upto.gallery import MAX_GALLERY_TRANSITIONS, GalleryVerdict, build_T, verify_gallery
 
-from helpers import chain_from_rows
+from helpers import blocks, chain_from_rows
 
 
 class TestBuildT:
     def test_zero(self):
-        t = build_T(0)
-        assert t.n == 0
-        assert t.lts.n_states == 1
-        assert t.lts.n_transitions == 0
+        lts = build_T(0)
+        assert lts.n_states == 1
+        assert lts.n_transitions == 0
 
     def test_one(self):
-        lts = build_T(1).lts
+        lts = build_T(1)
         assert lts.n_states == 2
         assert list(lts.triples()) == [(1, "t", 0)]
 
@@ -24,7 +23,7 @@ class TestBuildT:
         assert list(t2.triples()) == [(1, "t", 0), (2, "t", 0), (2, "t", 1)]
 
     def test_state_i_has_i_transitions_and_acyclic(self):
-        lts = build_T(6).lts
+        lts = build_T(6)
         for i in range(7):
             assert lts.successors(i, 0) == tuple(range(i))
 
@@ -37,7 +36,7 @@ class TestBuildT:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            lts = build_T(400).lts
+            lts = build_T(400)
             kept, peak = (b - base for b in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -49,11 +48,11 @@ class TestBuildT:
 class TestVerifyGallery:
     def test_small_instances(self):
         # hand instances of the membership law
-        seq1 = compute_strata(build_T(1).lts)
+        seq1 = compute_strata(build_T(1))
         assert (0, 1) in seq1.stratum(0)
         assert (0, 1) not in seq1.stratum(1)
 
-        seq2 = compute_strata(build_T(2).lts)
+        seq2 = compute_strata(build_T(2))
         assert (1, 2) in seq2.stratum(1)
         assert (1, 2) not in seq2.stratum(2)
 
@@ -65,11 +64,11 @@ class TestVerifyGallery:
 
     @pytest.mark.parametrize("n", range(9))
     def test_convergence_index_is_n(self, n):
-        assert compute_strata(build_T(n).lts).epsilon == n
+        assert compute_strata(build_T(n)).epsilon == n
 
     @pytest.mark.parametrize("n", range(9))
     def test_consecutive_strata_differ_one_level_up(self, n):
-        seq = compute_strata(build_T(n + 1).lts)
+        seq = compute_strata(build_T(n + 1))
         assert seq.stratum(n) != seq.stratum(n + 1)
 
     # T_6 has 21 pairs a < b, each tested at strata 0..6 (the planted chain
@@ -95,7 +94,7 @@ class TestVerifyGallery:
         def planted(lts):
             if lts.n_states != 7:
                 return real(lts)
-            rows = real(build_T(5).lts).blocks
+            rows = blocks(real(build_T(5)))
             return chain_from_rows(lts, [row + (row[pad],) for row in rows])
 
         monkeypatch.setattr("upto.gallery.compute_strata", planted)

@@ -60,12 +60,12 @@ STANDARD_LATTICES = (
 
 
 def leq_progression(lat):
-    return LatticeProgression(lat, lat.leq)
+    return LatticeProgression(lat, lat.order)
 
 
 class TestValidateLattice:
     def test_two_chain_valid(self):
-        lat = validate_lattice(["bot", "top"], [(0, 0), (0, 1), (1, 1)])
+        lat = validate_lattice(["bot", "top"], Relation.from_pairs(2, [(0, 0), (0, 1), (1, 1)]))
         assert lat.top == 1 and lat.bottom == 0
         assert lat.join(0, 1) == 1 and lat.meet(0, 1) == 0
 
@@ -79,22 +79,25 @@ class TestValidateLattice:
     def test_incomparable_maximals_invalid(self):
         # bot below x and y, but x join y does not exist
         with pytest.raises(LatticeValidationError) as err:
-            validate_lattice(["bot", "x", "y"], [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)])
+            validate_lattice(
+                ["bot", "x", "y"], Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)])
+            )
         assert any("join" in v for v in err.value.violations)
 
     def test_poset_axiom_violations(self):
         with pytest.raises(LatticeValidationError) as err:
-            validate_lattice(["a", "b"], [(0, 1), (1, 1)])  # a not reflexive
+            # a not reflexive
+            validate_lattice(["a", "b"], Relation.from_pairs(2, [(0, 1), (1, 1)]))
         assert any("reflexive" in v for v in err.value.violations)
 
         with pytest.raises(LatticeValidationError) as err:
-            validate_lattice(["a", "b"], [(0, 0), (1, 1), (0, 1), (1, 0)])
+            validate_lattice(["a", "b"], Relation.from_pairs(2, [(0, 0), (1, 1), (0, 1), (1, 0)]))
         assert any("antisymmetric" in v for v in err.value.violations)
 
         with pytest.raises(LatticeValidationError) as err:
+            # missing (0, 2)
             validate_lattice(
-                ["a", "b", "c"],
-                [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)],  # missing (0, 2)
+                ["a", "b", "c"], Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
             )
         assert any("transitive" in v for v in err.value.violations)
 
@@ -102,7 +105,7 @@ class TestValidateLattice:
         # a 30-element chain given by its covers: (i, i + 2) is missing for each i < 28
         pairs = [(i, i) for i in range(30)] + [(i, i + 1) for i in range(29)]
         with pytest.raises(LatticeValidationError) as err:
-            validate_lattice([f"c{i}" for i in range(30)], pairs)
+            validate_lattice([f"c{i}" for i in range(30)], Relation.from_pairs(30, pairs))
         assert err.value.violations[:2] == [
             "not transitive: c0 .. c2 reachable but unrelated",
             "not transitive: c1 .. c3 reachable but unrelated",
@@ -114,19 +117,21 @@ class TestValidateLattice:
         "bad", [(-1, -1), (0, -1), (-1, 0), (0, 2), (2, 0), (2, 2)]
     )
     def test_order_pairs_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError, match="out of range for 2 elements"):
-            validate_lattice(["a", "b"], [(0, 0), (1, 1), bad])
-        with pytest.raises(ValueError, match="out of range for 2 elements"):
-            is_progression(chain_lattice(2), [(0, 0), bad])
+        # refused when the relation is built, before any lattice function sees it
+        with pytest.raises(ValueError, match="out of range for 2 states"):
+            validate_lattice(["a", "b"], Relation.from_pairs(2, [(0, 0), (1, 1), bad]))
+        with pytest.raises(ValueError, match="out of range for 2 states"):
+            is_progression(chain_lattice(2), Relation.from_pairs(2, [(0, 0), bad]))
 
     def test_order_pairs_in_range_accepted(self):
-        lat = validate_lattice(["a", "b"], [(0, 0), (np.int64(0), 1), (1, np.intp(1))])
+        order = Relation.from_pairs(2, [(0, 0), (np.int64(0), 1), (1, np.intp(1))])
+        lat = validate_lattice(["a", "b"], order)
         assert lat.le(0, 1) and not lat.le(1, 0)
-        assert is_progression(lat, [(0, 0), (0, 1), (1, 1)]).holds
+        assert is_progression(lat, Relation.from_pairs(2, [(0, 0), (0, 1), (1, 1)])).holds
 
     def test_empty_invalid(self):
         with pytest.raises(LatticeValidationError):
-            validate_lattice([], [])
+            validate_lattice([], Relation.empty(0))
 
     def test_fold_bounds(self):
         lat = powerset_lattice(2)
@@ -137,11 +142,9 @@ class TestValidateLattice:
 
 
 class TestStorage:
-    def test_order_is_a_relation_and_leq_a_read_only_view(self):
+    def test_order_is_a_relation(self):
         for _name, lat in STANDARD_LATTICES:
             assert isinstance(lat.order, Relation)
-            assert lat.leq.tolist() == lat.order.matrix.tolist()
-            assert not lat.leq.flags.writeable
             for a in range(lat.size):
                 for b in range(lat.size):
                     assert lat.le(a, b) == ((a, b) in lat.order)
@@ -155,10 +158,9 @@ class TestStorage:
 
     def test_progression_relation_is_a_relation(self):
         lat = diamond_lattice()
-        for given in (lat.order, lat.leq, list(lat.order)):
-            prog = LatticeProgression(lat, given)
-            assert isinstance(prog.rel, Relation)
-            assert prog.rel == lat.order
+        prog = LatticeProgression(lat, lat.order)
+        assert isinstance(prog.rel, Relation)
+        assert prog.rel == lat.order
 
     def test_equal_lattices_built_twice(self):
         assert chain_lattice(3) == chain_lattice(3)
@@ -171,7 +173,7 @@ class TestStorage:
 class TestProgressionOnAnotherLattice:
     def test_rejected_by_every_function_taking_both(self):
         diamond, chain4 = diamond_lattice(), chain_lattice(4)
-        prog = LatticeProgression(diamond, diamond.leq)
+        prog = LatticeProgression(diamond, diamond.order)
         chain = z_chain(diamond, prog)
         ident = tuple(range(4))
         for call in (
@@ -191,19 +193,37 @@ class TestProgressionOnAnotherLattice:
         assert z_chain(chain_lattice(4), prog).zs == (3,)
 
 
+class TestRelationOfAnotherSize:
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_rejected_naming_both_counts(self, m):
+        chain4, rel = chain_lattice(4), Relation.full(m)
+        message = f"^relation on {m} points does not fit a lattice of 4 elements$"
+        for call in (
+            lambda: validate_lattice(chain4.elements, rel),
+            lambda: is_progression(chain4, rel),
+            lambda: LatticeProgression(chain4, rel),
+            lambda: close_to_progression(chain4, rel),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_order_of_a_smaller_lattice_rejected(self):
+        with pytest.raises(ValueError, match="^relation on 2 points does not fit a lattice of 3"):
+            validate_lattice(["a", "b", "c"], chain_lattice(2).order)
+
+
 class TestIsProgression:
     def test_full_relation_is_progression(self):
         lat = diamond_lattice()
-        assert is_progression(lat, np.ones((4, 4), dtype=bool)).holds
+        assert is_progression(lat, Relation.full(4)).holds
 
     def test_order_is_progression(self):
         for lat in (chain_lattice(3), diamond_lattice(), pentagon_lattice()):
-            assert is_progression(lat, lat.leq).holds
+            assert is_progression(lat, lat.order).holds
 
     def test_top_pair_fails_order_closure(self):
         lat = chain_lattice(2)
-        rel = np.zeros((2, 2), dtype=bool)
-        rel[1, 1] = True
+        rel = Relation.from_pairs(2, [(1, 1)])
         verdict = is_progression(lat, rel)
         assert not verdict.holds
         # bot <= top R top <= top forces (bot, top)
@@ -211,8 +231,8 @@ class TestIsProgression:
 
     def test_missing_join_in_preimage_detected(self):
         lat = diamond_lattice()
-        rel = lat.leq.copy()
-        rel[lat.bottom, lat.bottom] = False  # bottom's pre-image loses its join
+        # bottom's pre-image loses its join
+        rel = lat.order - Relation.from_pairs(4, [(lat.bottom, lat.bottom)])
         verdict = is_progression(lat, rel)
         assert not verdict.holds
         assert any(v.condition == 2 for v in verdict.violations)
@@ -221,30 +241,28 @@ class TestIsProgression:
 class TestCloseToProgression:
     def test_empty_seed_on_two_chain(self):
         lat = chain_lattice(2)
-        prog = close_to_progression(lat, np.zeros((2, 2), dtype=bool))
+        prog = close_to_progression(lat, Relation.empty(2))
         assert set(prog.rel) == {(0, 0), (0, 1)}
 
     def test_order_seed_unchanged(self):
         for lat in (chain_lattice(4), diamond_lattice(), m3_lattice()):
-            prog = close_to_progression(lat, lat.leq)
+            prog = close_to_progression(lat, lat.order)
             assert prog.rel == lat.order
 
     def test_full_seed_unchanged(self):
         lat = diamond_lattice()
-        prog = close_to_progression(lat, np.ones((4, 4), dtype=bool))
+        prog = close_to_progression(lat, Relation.full(4))
         assert prog.rel == Relation.full(4)
 
     def test_seed_always_contained(self):
         rng = random.Random(41)
         lat = pentagon_lattice()
         for _ in range(30):
-            seed = np.zeros((5, 5), dtype=bool)
-            for a in range(5):
-                for b in range(5):
-                    seed[a, b] = rng.random() < 0.25
+            pairs = [(a, b) for a in range(5) for b in range(5) if rng.random() < 0.25]
+            seed = Relation.from_pairs(5, pairs)
             prog = close_to_progression(lat, seed)
             assert is_progression(lat, prog.rel).holds
-            assert Relation(5, seed) <= prog.rel
+            assert seed <= prog.rel
 
     @pytest.mark.parametrize("lat", [chain_lattice(2), chain_lattice(3)], ids=["chain2", "chain3"])
     def test_least_progression_over_all_relations(self, lat):
@@ -263,7 +281,7 @@ class TestCloseToProgression:
 class TestChainAndCompanion:
     def test_full_progression_chain_is_top_only(self):
         lat = diamond_lattice()
-        chain = z_chain(lat, LatticeProgression(lat, np.ones((4, 4), dtype=bool)))
+        chain = z_chain(lat, LatticeProgression(lat, Relation.full(4)))
         assert chain.zs == (lat.top,)
         assert chain.stable_index == 0
 
@@ -348,7 +366,7 @@ class TestFunctionClasses:
 
     def test_s_of_full_is_top(self):
         lat = diamond_lattice()
-        prog = LatticeProgression(lat, np.ones((4, 4), dtype=bool))
+        prog = LatticeProgression(lat, Relation.full(4))
         for x in range(4):
             assert prog.s_vector[x] == lat.top
 
@@ -469,7 +487,7 @@ class TestBruteForce:
     def test_full_progression_gives_constant_top(self):
         for lat in (chain_lattice(3), diamond_lattice()):
             m = lat.size
-            prog = LatticeProgression(lat, np.ones((m, m), dtype=bool))
+            prog = LatticeProgression(lat, Relation.full(m))
             const_top = tuple([lat.top] * m)
             assert brute_force_largest(lat, prog, "r_monotone") == const_top
             assert brute_force_largest(lat, prog, "compatible") == const_top

@@ -18,8 +18,10 @@ from upto.lts import _row_walk, _violations
 
 from helpers import (
     all_relations,
+    blocks,
     lts_with_relations,
     matrix_largest_progressing_to,
+    matrix_relation,
     scalar_violations,
     small_lts,
 )
@@ -29,7 +31,7 @@ class TestLtsConstruction:
     def test_basic(self):
         lts = Lts(["s", "t"], [(0, "a", 1), (0, "b", 0), (1, "a", 0)])
         assert lts.n_states == 2
-        assert [l.text for l in lts.labels] == ["a", "b"]
+        assert lts.labels == ("a", "b")
         assert lts.n_transitions == 3
         assert list(lts.triples()) == [(0, "a", 1), (0, "b", 0), (1, "a", 0)]
 
@@ -153,6 +155,11 @@ class TestRelationAlgebra:
         assert (2, 0) in r and (0, 0) not in r
         assert list(r) == [(0, 1), (2, 0)]
         assert len(r) == 2
+
+    def test_no_matrix_constructor(self):
+        # two rows of a matrix would otherwise read as the pairs (1, 0) and (0, 1)
+        with pytest.raises(TypeError):
+            Relation(2, [[1, 0], [0, 1]])
 
     def test_matrix_read_only(self):
         r = Relation.full(2)
@@ -296,14 +303,14 @@ def _kernel_targets(seed, n):
         (Relation.empty(n), np.zeros((n, n), dtype=bool)),
         (Relation.identity(n), np.eye(n, dtype=bool)),
         (Relation.full(n), np.ones((n, n), dtype=bool)),
-        (Relation(n, dense), dense),
-        (Relation(n, sparse), sparse),
+        (matrix_relation(dense), dense),
+        (matrix_relation(sparse), sparse),
     ]
 
 
 def _bisimilarity_with_matrix(lts):
     seq = compute_strata(lts)
-    ids = np.asarray(seq.blocks[seq.epsilon])
+    ids = np.asarray(blocks(seq)[seq.epsilon])
     return seq.bisimilarity(), ids[:, None] == ids[None, :]
 
 
@@ -325,7 +332,7 @@ class TestBitsetKernel:
         assert n == 1 or lts.successors(0, 0) == ()
         gen = np.random.default_rng(100 + n)
         bisim, bisim_matrix = _bisimilarity_with_matrix(lts)
-        candidates = [bisim, Relation(n, gen.random((n, n)) < min(0.5, 200 / (n * n)))]
+        candidates = [bisim, matrix_relation(gen.random((n, n)) < min(0.5, 200 / (n * n)))]
         for r in candidates:
             for s, smat in _kernel_targets(200 + n, n) + [(bisim, bisim_matrix)]:
                 expected = tuple(scalar_violations(lts, r.pairs, smat))
@@ -395,7 +402,7 @@ class TestBitsetKernel:
     @given(st.integers(1, 70).flatmap(_raw_matrix))
     def test_bit_k_of_row_and_column_p(self, mat):
         n = len(mat)
-        r = Relation(n, mat)
+        r = matrix_relation(mat)
         for p in range(n):
             for k in range(n):
                 assert bool(r.row_bits[p] >> k & 1) == bool(mat[p, k])
@@ -408,7 +415,7 @@ class TestBitsetKernel:
         # an equivalence, so the predicates also meet relations where they hold
         ids = blocks.argmax(axis=1)
         e = ids[:, None] == ids[None, :]
-        ra, rb, re_ = Relation(n, a), Relation(n, b), Relation(n, e)
+        ra, rb, re_ = matrix_relation(a), matrix_relation(b), matrix_relation(e)
         for r, m in ((ra, a), (rb, b), (re_, e)):
             assert np.array_equal(r.matrix, m)
             assert len(r) == int(m.sum())
@@ -424,9 +431,9 @@ class TestBitsetKernel:
         assert np.array_equal(ra.compose(rb).matrix, (a.astype(int) @ b) > 0)
         assert np.array_equal(re_.compose(ra).matrix, (e.astype(int) @ a) > 0)
         assert ra.is_subset(rb) == (not (a & ~b).any())
-        assert Relation(n, a & b).is_subset(ra) and Relation(n, a & e) <= re_
+        assert matrix_relation(a & b).is_subset(ra) and matrix_relation(a & e) <= re_
         assert (ra == rb) == np.array_equal(a, b)
-        assert ra == Relation(n, a.copy()) and hash(ra) == hash(Relation(n, a.copy()))
+        assert ra == matrix_relation(a.copy()) and hash(ra) == hash(matrix_relation(a.copy()))
 
     def test_failing_left_move_leaves_the_columns_unbuilt(self):
         lts = Lts(["0", "1"], [(0, "a", 1), (1, "a", 0)])

@@ -20,7 +20,7 @@ from upto.companion import (
     lrf_function,
 )
 from upto.formats import AutDocument, LatticeDocument, RelationDocument
-from upto.gallery import GalleryVerdict, OrdinalLts
+from upto.gallery import GalleryVerdict
 from upto.lattice import (
     LatticeChain,
     LatticeProgression,
@@ -33,7 +33,7 @@ from upto.lattice import (
     is_progression,
     z_chain,
 )
-from upto.lts import Label, Lts, ProgressDiagnosis, ProgressViolation, Relation, progresses_to
+from upto.lts import Lts, ProgressDiagnosis, ProgressViolation, Relation, progresses_to
 from upto.sampling import random_lts_pool, random_relation
 from upto.strata import compute_strata
 from upto.verify import CheckResult, VerificationReport, run_verification
@@ -44,7 +44,6 @@ VIOLATION = ProgressViolation((0, 1), "right", "a", 0)
 HOLDS = ProgressDiagnosis(())
 
 RECORDS = [
-    Label("a"),
     HOLDS,
     VIOLATION,
     ProofReport("R", "lrf", True, HOLDS, True),
@@ -56,7 +55,6 @@ RECORDS = [
     AutDocument((0, 1, 2), ((1, "a", 0),)),
     RelationDocument((("0", "1"),)),
     LatticeDocument(("a",), (), "leq"),
-    OrdinalLts(0, LTS),
     GalleryVerdict(1, None),
     ProgressionViolation(1, (0, 0), "order closure requires (a, a)"),
     ProgressionVerdict((), 0),
@@ -82,7 +80,6 @@ class TestNamedTuples:
         assert repr(record).startswith(f"{type(record).__name__}(")
 
     def test_records_are_tuples(self):
-        assert Label("a") == ("a",)
         assert tuple(HOLDS) == ((),)
         (violations,) = HOLDS
         assert violations == () and HOLDS.holds
@@ -175,7 +172,7 @@ class TestDerivedFields:
     def test_progression_verdict(self):
         lat = chain_lattice(2)
         assert is_progression(lat, lat.order).holds
-        verdict = is_progression(lat, [(1, 1)])
+        verdict = is_progression(lat, Relation.from_pairs(2, [(1, 1)]))
         assert not verdict.holds and verdict.violation_count == len(verdict.violations) > 0
 
     def test_lattice_chain(self):
@@ -184,7 +181,7 @@ class TestDerivedFields:
         assert z_chain(lat, LatticeProgression(lat, lat.order)).stable_index == 0
         # every pre-image of the least progression on a chain joins to the bottom
         lat = chain_lattice(3)
-        chain = z_chain(lat, close_to_progression(lat, []))
+        chain = z_chain(lat, close_to_progression(lat, Relation.empty(3)))
         assert chain.zs == (lat.top, lat.bottom) and chain.stable_index == 1
 
     def test_no_module_keeps_a_flag_check(self):

@@ -1,9 +1,11 @@
 """What a command loads at start-up, and the lazy exports of the package."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,12 +87,12 @@ EXPORTED = {
     "check_lrf_largest is_respectful_on_samples lrf lrf_function",
     "formats": "AutDocument AutParseError LatticeDocument RelationDocument export_dot "
     "parse_aut parse_lattice parse_progression parse_relation render_aut render_relation",
-    "gallery": "GalleryVerdict OrdinalLts build_T verify_gallery",
+    "gallery": "GalleryVerdict build_T verify_gallery",
     "lattice": "FiniteLattice LatticeChain LatticeProgression LatticeValidationError "
     "ProgressionVerdict brute_force_largest chain_companion close_to_progression "
     "companion_at descending_chain element_relation is_compatible is_monotone "
     "is_progression is_r_monotone validate_lattice z_chain",
-    "lts": "Label Lts ProgressDiagnosis ProgressViolation Relation "
+    "lts": "Lts ProgressDiagnosis ProgressViolation Relation "
     "largest_progressing_to progress_holds progresses_to",
     "strata": "StrataSequence compute_strata",
     "verify": "VerificationReport run_verification",
@@ -128,3 +130,37 @@ class TestLazyExports:
     def test_version_and_dir(self):
         assert upto.__version__ == "0.1.0"
         assert set(upto.__all__) <= set(dir(upto))
+
+
+def numpy_imports(tree):
+    """The enclosing class and function names of each import of numpy in a module."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            found.extend(where for name in names if name.split(".")[0] == "numpy")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, where + (child.name,) if named else where)
+
+    visit(tree, ())
+    return found
+
+
+class TestNoNumpyDependency:
+    def test_only_the_matrix_view_imports_numpy(self):
+        found = {}
+        for path in sorted(Path(upto.__file__).parent.glob("*.py")):
+            for where in numpy_imports(ast.parse(path.read_text())):
+                found.setdefault(path.name, []).append(where)
+        assert found == {"lts.py": [("Relation", "matrix")]}
+
+    def test_numpy_is_a_test_requirement_only(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert "\ndependencies = []\n" in text
+        assert '\ntest = ["pytest", "hypothesis", "numpy"]\n' in text

@@ -3,7 +3,6 @@ import random
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -11,10 +10,12 @@ from upto import Lts, Relation, compute_strata, largest_progressing_to, lrf, pro
 from upto.formats import render_relation
 from upto.gallery import build_T
 from upto.sampling import random_lts
-from upto.strata import StrataSequence, _canonical, _validate_tree
+from upto.strata import StrataSequence, _validate_tree
 
 from helpers import (
     all_relations,
+    blocks,
+    canonical,
     chain_from_relations,
     chain_from_rows,
     matrix_strata,
@@ -81,12 +82,12 @@ class TestSequenceValidation:
 
     def test_rejects_rows_that_do_not_refine(self, t2):
         with pytest.raises(ValueError, match="strictly below"):
-            chain_from_rows(t2, np.array([[0, 0, 0], [0, 1, 1], [0, 0, 1]]))
+            chain_from_rows(t2, [[0, 0, 0], [0, 1, 1], [0, 0, 1]])
 
     def test_relations_and_rows_agree(self, t2):
         seq = compute_strata(t2)
         assert chain_from_relations(t2, seq.strata, seq.epsilon) == seq
-        assert chain_from_rows(t2, seq.blocks) == seq
+        assert chain_from_rows(t2, blocks(seq)) == seq
 
     @pytest.mark.parametrize(
         "rows",
@@ -132,7 +133,7 @@ class TestSequenceValidation:
         with pytest.raises(ValueError, match="final blocks do not fit 3 states"):
             StrataSequence(t2, [0, 1], [0, 0], [0, 1], 1)
         seq = StrataSequence(t2, [0, 1, 1], [0, 0], [0, 1], 1)
-        assert seq.blocks == ((0, 0, 0), (0, 1, 1))
+        assert blocks(seq) == ((0, 0, 0), (0, 1, 1))
 
 
 def path(n):
@@ -160,8 +161,8 @@ class TestMoveLog:
         # canonical rows of a path renumber O(n^2) ids, so the path is short
         lts = path(300)
         seq = compute_strata(lts)
-        assert chain_from_rows(lts, seq.blocks) == seq
-        assert all(type(row) is tuple for row in seq.blocks)
+        assert chain_from_rows(lts, blocks(seq)) == seq
+        assert all(type(row) is tuple for row in blocks(seq))
 
 
 def planted_rows(rng, n):
@@ -169,7 +170,7 @@ def planted_rows(rng, n):
     than the one before: every block splits at random into at most two."""
     rows = [(0,) * n]
     while rng.random() < 0.8:
-        row = _canonical([(b, rng.randrange(2)) for b in rows[-1]])
+        row = canonical([(b, rng.randrange(2)) for b in rows[-1]])
         if row != rows[-1]:
             rows.append(row)
     return rows
@@ -180,16 +181,16 @@ class TestEquality:
         # compute_strata lets the largest piece of a split keep the block's
         # id, chain_from_rows the first, so most trees are numbered apart
         rng = random.Random(2024)
-        systems = [build_T(n).lts for n in range(31)]
+        systems = [build_T(n) for n in range(31)]
         for _ in range(30):
             n = rng.randint(1, 60)
             systems.append(random_lts(rng, n, rng.randint(1, 3), rng.uniform(0.5, 3.0) / n))
         numbered_apart = 0
         for lts in systems:
             seq = compute_strata(lts)
-            built = chain_from_rows(lts, seq.blocks)
+            built = chain_from_rows(lts, blocks(seq))
             assert built == seq and hash(built) == hash(seq)
-            assert built.blocks == seq.blocks
+            assert blocks(built) == blocks(seq)
             numbered_apart += built._parent != seq._parent
         assert numbered_apart > 3 * len(systems) // 4, numbered_apart
 
@@ -198,14 +199,14 @@ class TestEquality:
         chains = [chain_from_rows(lts, planted_rows(rng, 5)) for _ in range(150)]
         equal = same_limit_apart = 0
         for a, b in itertools.combinations(chains, 2):
-            assert (a == b) == (a.blocks == b.blocks)
+            assert (a == b) == (blocks(a) == blocks(b))
             equal += a == b
             # the same epsilon and stable partition, told apart by a split
-            same_limit_apart += a != b and (a.epsilon, a.blocks[-1]) == (b.epsilon, b.blocks[-1])
+            same_limit_apart += a != b and (a.epsilon, blocks(a)[-1]) == (b.epsilon, blocks(b)[-1])
         assert equal > 0 and same_limit_apart > 0, (equal, same_limit_apart)
-        seq = compute_strata(build_T(4).lts)
-        assert seq != chain_from_rows(seq.lts, seq.blocks[:-1])
-        assert seq != chain_from_rows(seq.lts, seq.blocks[:1] + seq.blocks[2:])
+        seq = compute_strata(build_T(4))
+        assert seq != chain_from_rows(seq.lts, blocks(seq)[:-1])
+        assert seq != chain_from_rows(seq.lts, blocks(seq)[:1] + blocks(seq)[2:])
 
     def test_long_paths_compare_equal_quickly(self):
         # the rows of two 2000-state paths hold 8 * 10^6 block ids
@@ -229,7 +230,7 @@ class TestDepth:
 
     def test_single_pairs_match_the_strata(self):
         rng = random.Random(2024)
-        systems = [build_T(n).lts for n in range(31)]
+        systems = [build_T(n) for n in range(31)]
         for _ in range(30):
             n = rng.randint(1, 60)
             systems.append(random_lts(rng, n, rng.randint(1, 3), rng.uniform(0.5, 3.0) / n))
@@ -245,7 +246,7 @@ class TestDepth:
 class TestStratumSize:
     def test_sizes_are_block_sums_equal_to_a_popcount(self):
         rng = random.Random(2024)
-        systems = [build_T(n).lts for n in range(31)]
+        systems = [build_T(n) for n in range(31)]
         for _ in range(30):
             n = rng.randint(1, 60)
             systems.append(random_lts(rng, n, rng.randint(1, 3), rng.uniform(0.5, 3.0) / n))
@@ -355,7 +356,7 @@ class TestOracles:
 
     def test_matches_matrix_operator_on_ladders(self):
         for n in range(31):
-            lts = build_T(n).lts
+            lts = build_T(n)
             assert compute_strata(lts).strata == tuple(matrix_strata(lts))
 
     def test_memory_stays_below_one_dense_matrix(self):
@@ -388,4 +389,4 @@ class TestOracles:
 
     def test_gallery_ladder_epsilon(self):
         for n in range(6):
-            assert compute_strata(build_T(n).lts).epsilon == n
+            assert compute_strata(build_T(n)).epsilon == n
