@@ -105,6 +105,8 @@ class FiniteLattice:
 
 def _fits(m: int, rel: Relation) -> Relation:
     """rel, when it is a relation on the m elements of a lattice."""
+    if not isinstance(rel, Relation):
+        raise TypeError(f"expected a Relation, got {type(rel).__name__}")
     if rel.n_states != m:
         raise ValueError(
             f"relation on {rel.n_states} points does not fit a lattice of {m} elements"

@@ -22,13 +22,25 @@ A relation's q's come from its cached ``pairs``, not from walking the bits
 of wide rows.  Columns are built when a right move first needs them; an
 equivalence's columns are its rows.  An n-state relation's rows take at most
 n^2/8 bytes, the successor bitsets n/8 bytes per state and label.
+
+A target built by ``Relation.from_blocks`` (every stratum, so every ``lrf``
+image) is a partition and keeps its block ids.  Against it, state p's block
+signature is, per label, the set of blocks of p's successors, numbered once
+per target and system.  A pair whose two states have equal signatures
+progresses, and the walk skips it without looking at a move: each move of
+either side reaches a block the other side reaches too (the signature test
+of partition refinement).  The other pairs are walked move by move as
+above, so the diagnosis is the same, and the successor bitsets are built
+only when some pair is walked.  A proof whose pairs all match costs
+O(n + m) for n states and m transitions, besides reading its pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, groupby
 from operator import and_, index, itemgetter, or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # slots of an Lts's successor table (states x labels), and of its cached bitsets
 MAX_TABLE_SLOTS = 2 * 10**7
@@ -128,13 +140,20 @@ class Relation:
 
     Bit q of ``row_bits[p]`` is set iff (p, q) is in the relation; every
     operation works on these ints, and the matrix, pairs and column bitsets
-    are derived on request.  Build one with ``from_pairs``, ``empty``,
-    ``full`` or ``identity``.  Operations are exact and only combine
-    relations with matching state counts.  Instances are immutable and
-    hashable.
+    are derived on request.  Build one with ``from_pairs``, ``from_blocks``,
+    ``empty``, ``full`` or ``identity``.  A relation built from block ids
+    keeps them, for the progress walk; equality and hashing read the rows
+    only.  Operations are exact and only combine relations with matching
+    state counts, and their results keep no block ids.  Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("n_states", "row_bits", "_cols", "_pairs", "_size")
+    __slots__ = ("n_states", "row_bits", "_cols", "_pairs", "_size", "_blocks")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(
+            "build a Relation with Relation.from_pairs, from_blocks, empty, full or identity"
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Relation is immutable")
@@ -142,15 +161,19 @@ class Relation:
     # construction
 
     @staticmethod
-    def _from_rows(n_states: int, rows: tuple[int, ...], cols=None, size=None) -> "Relation":
-        """Unchecked: these row bitsets, and the column bitsets and the pair
-        count when known."""
-        r = _new(Relation)
-        _set_n(r, n_states)
-        _set_row_bits(r, rows)
-        _set_cols(r, cols)
-        _set_pairs(r, None)
-        _set_size(r, size)
+    def _from_rows(
+        n_states: int, rows: tuple[int, ...], cols=None, size=None, blocks=None
+    ) -> "Relation":
+        """Unchecked: these row bitsets, and the column bitsets, the pair
+        count and the block ids when known."""
+        r = _new(_Unfrozen)
+        r.n_states = n_states
+        r.row_bits = rows
+        r._cols = cols
+        r._pairs = None
+        r._size = size
+        r._blocks = blocks
+        r.__class__ = Relation
         return r
 
     @classmethod
@@ -162,6 +185,25 @@ class Relation:
                 raise ValueError(f"pair ({p}, {q}) out of range for {n_states} states")
             rows[p] |= 1 << q
         return cls._from_rows(n_states, tuple(rows))
+
+    @classmethod
+    def from_blocks(cls, ids: Sequence[int]) -> "Relation":
+        """The equivalence on len(ids) states relating p and q iff ids[p] == ids[q].
+
+        Each block id is a state index.  An equivalence's columns are its
+        rows, and its size is the sum of its squared block sizes."""
+        ids = tuple(map(index, ids))
+        n = len(ids)
+        if ids and not (min(ids) >= 0 and max(ids) < n):
+            p = next(p for p, b in enumerate(ids) if not 0 <= b < n)
+            raise ValueError(f"block id {ids[p]} of state {p} out of range for {n} states")
+        masks = [0] * n
+        for p, b in enumerate(ids):
+            masks[b] |= 1 << p
+        rows = tuple(map(masks.__getitem__, ids))
+        size = sum(c * c for c in Counter(ids).values())
+        # (ids, system, signatures): _signatures fills in the last two
+        return cls._from_rows(n, rows, rows, size, (ids, None, None))
 
     @classmethod
     def empty(cls, n_states: int) -> "Relation":
@@ -313,10 +355,20 @@ class Relation:
         return f"Relation({self.n_states}, {{{inner}}})"
 
 
-# The slots' own setters, which bypass Relation.__setattr__.
+class _Unfrozen(Relation):
+    """Relation's layout without its guard against assignment.  _from_rows
+    fills one in with plain attribute stores, about a tenth of the cost of
+    calling each slot's setter, and then makes it a Relation."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
+# The setters of the slots that cache, which bypass Relation.__setattr__.
 _new = object.__new__
-_SLOT_SETTERS = tuple(getattr(Relation, name).__set__ for name in Relation.__slots__)
-_set_n, _set_row_bits, _set_cols, _set_pairs, _set_size = _SLOT_SETTERS
+_set_cols, _set_pairs, _set_size, _set_blocks = (
+    getattr(Relation, name).__set__ for name in ("_cols", "_pairs", "_size", "_blocks")
+)
 
 
 def _image(rows: tuple[int, ...], members: int) -> int:
@@ -361,18 +413,44 @@ class ProgressDiagnosis(NamedTuple):
 _left, _right = itemgetter(0), itemgetter(1)
 
 
-def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None) -> int:
+def _signatures(lts: Lts, s: Relation) -> list[int]:
+    """Per state p of lts, a number for p's signature against the blocks of
+    s, a relation that keeps block ids: per label, the set of blocks of p's
+    successors.  Kept on s until it is asked about another system.  The
+    callers test ``s._blocks`` first, which costs relations without block
+    ids no call."""
+    ids, system, sig = s._blocks
+    if system is not lts:
+        numbers: dict[tuple[frozenset[int], ...], int] = {}
+        block = ids.__getitem__
+        sig = [
+            numbers.setdefault(tuple(frozenset(map(block, qs)) for qs in row), len(numbers))
+            for row in lts._succ
+        ]
+        _set_blocks(s, (ids, lts, sig))
+    return sig
+
+
+def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None, sig=None) -> int:
     """Walk the moves of each pair (p, q), for q in qs, against the target s.
 
-    Per pair: labels in order, then p's moves (clause 1) before q's (clause
-    2).  A left move p -a-> p1 is matched when row p1 of s meets the
-    a-successors of q; a right move q -a-> q1 when column q1 of s meets the
-    a-successors of p; the columns are fetched at the first right move.
+    Given s's block signatures ``sig``, a q whose signature is p's is
+    skipped: s is then a partition, and each move of p or q reaches a block
+    the other reaches too.  Per walked pair: labels in order, then p's moves
+    (clause 1) before q's (clause 2).  A left move p -a-> p1 is matched when
+    row p1 of s meets the a-successors of q; a right move q -a-> q1 when
+    column q1 of s meets the a-successors of p; the successor bitsets are
+    fetched at the first walked pair, the columns at the first right move.
     Given a list ``moves``, every unmatched move is appended to it as a
     ProgressViolation; without one, each q stops at its first unmatched
     move.  Returns the rejected q's as a bitset.
     """
-    succ, bits = lts._succ, lts._successor_bits()
+    if sig is not None:
+        own = sig[p]
+        qs = [q for q in qs if sig[q] != own]
+        if not qs:
+            return 0
+    succ, bits = lts._succ, lts._succ_bits or lts._successor_bits()
     rows, cols = s.row_bits, None
     labels, p_succ, p_bits, stop = lts.labels, succ[p], bits[p], moves is None
     # a q's unmatched moves come one after another, so each rejected q sets
@@ -411,8 +489,9 @@ def _violations(
     """Each unmatched move of each pair against the target s: pairs as
     given, one row walk per run of pairs with the same left state."""
     moves: list[ProgressViolation] = []
+    sig = s._blocks and _signatures(lts, s)
     for p, run in groupby(pairs, _left):
-        _row_walk(lts, s, p, map(_right, run), moves)
+        _row_walk(lts, s, p, map(_right, run), moves, sig)
     return iter(moves)
 
 
@@ -432,8 +511,9 @@ def progress_holds(lts: Lts, r: Relation, s: Relation) -> bool:
     """Like progresses_to(...).holds, stopping at the first rejected pair."""
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
+    sig = s._blocks and _signatures(lts, s)
     for p, run in groupby(r.pairs, _left):
-        if _row_walk(lts, s, p, map(_right, run)):
+        if _row_walk(lts, s, p, map(_right, run), None, sig):
             return False
     return True
 
@@ -448,6 +528,6 @@ def largest_progressing_to(lts: Lts, s: Relation) -> Relation:
     if s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
     n = lts.n_states
-    full, everyone = (1 << n) - 1, range(n)
-    rows = tuple(full ^ _row_walk(lts, s, p, everyone) for p in everyone)
+    full, everyone, sig = (1 << n) - 1, range(n), s._blocks and _signatures(lts, s)
+    rows = tuple(full ^ _row_walk(lts, s, p, everyone, None, sig) for p in everyone)
     return Relation._from_rows(n, rows)

@@ -18,25 +18,17 @@ signature.  A state moves only into a piece at most half the size of its
 block, so it moves O(log n) times: the chain costs O(m log n) dictionary
 operations for m transitions.  Nested partitions form a tree, and the chain
 is stored as that tree in O(n) memory, which is also the one thing a
-StrataSequence is built from; a stratum becomes a Relation when asked for:
-one row bitset per block.
+StrataSequence is built from.  A stratum becomes a Relation when asked for,
+built by ``Relation.from_blocks`` from its block ids, which it keeps: the
+progress walk tests a pair against a stratum by the blocks its two states
+reach.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from typing import Sequence
 
 from .lts import Lts, Relation
-
-
-def _block_rows(ids: Sequence[int]) -> tuple[int, ...]:
-    """Row bitsets of the partition with these block ids (each below n)."""
-    masks = [0] * len(ids)
-    for p, b in enumerate(ids):
-        masks[b] |= 1 << p
-    return tuple(masks[b] for b in ids)
 
 
 def _validate_tree(final: list[int], parent: list[int], born: list[int], epsilon: int) -> None:
@@ -146,11 +138,7 @@ class StrataSequence:
             k = self.epsilon
         r = self._relations[k]
         if r is None:
-            ids = self._row(k)
-            rows = _block_rows(ids)
-            # the pairs of a partition: the squared size of each block
-            size = sum(c * c for c in Counter(ids).values())
-            r = self._relations[k] = Relation._from_rows(self.lts.n_states, rows, rows, size)
+            r = self._relations[k] = Relation.from_blocks(self._row(k))
         return r
 
     def bisimilarity(self) -> Relation:

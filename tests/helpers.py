@@ -30,7 +30,7 @@ import numpy as np
 from upto import LatticeProgression, Lts, Relation, element_relation, validate_lattice
 from upto.lattice import MonotoneClassification, _inclusion
 from upto.lts import ProgressViolation, largest_progressing_to
-from upto.strata import StrataSequence, _block_rows
+from upto.strata import StrataSequence
 
 
 def matrix_relation(mat):
@@ -124,9 +124,10 @@ def chain_from_relations(lts, strata, epsilon):
     for k, r in enumerate(strata):
         if r.n_states != lts.n_states:
             raise ValueError("stratum dimensions do not match the LTS")
-        # each state's least related state, an equivalence's block id
-        ids = [(row & -row).bit_length() - 1 for row in r.row_bits]
-        if _block_rows(ids) != r.row_bits:
+        # each state's least related state, an equivalence's block id; a
+        # state related to none gets its own, which then fails the test
+        ids = [((row & -row) or 1 << p).bit_length() - 1 for p, row in enumerate(r.row_bits)]
+        if Relation.from_blocks(ids) != r:
             raise ValueError(f"stratum {k} is not an equivalence relation")
         rows.append(ids)
     return chain_from_rows(lts, rows)

@@ -211,6 +211,17 @@ class TestRelationOfAnotherSize:
         with pytest.raises(ValueError, match="^relation on 2 points does not fit a lattice of 3"):
             validate_lattice(["a", "b", "c"], chain_lattice(2).order)
 
+    def test_pairs_that_are_no_relation_rejected_naming_relation(self):
+        chain2 = chain_lattice(2)
+        for call in (
+            lambda: validate_lattice(["a", "b"], [(0, 0), (0, 1), (1, 1)]),
+            lambda: is_progression(chain2, [(0, 0)]),
+            lambda: LatticeProgression(chain2, [(0, 0)]),
+            lambda: close_to_progression(chain2, [(0, 0)]),
+        ):
+            with pytest.raises(TypeError, match="^expected a Relation, got list$"):
+                call()
+
 
 class TestIsProgression:
     def test_full_relation_is_progression(self):

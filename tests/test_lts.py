@@ -8,8 +8,10 @@ import hypothesis.strategies as st
 from upto import (
     Lts,
     Relation,
+    check_upto,
     compute_strata,
     largest_progressing_to,
+    lrf_function,
     progress_holds,
     progresses_to,
 )
@@ -160,6 +162,29 @@ class TestRelationAlgebra:
         # two rows of a matrix would otherwise read as the pairs (1, 0) and (0, 1)
         with pytest.raises(TypeError):
             Relation(2, [[1, 0], [0, 1]])
+
+    def test_every_constructor_builds_an_immutable_relation(self):
+        blocks = Relation.from_blocks([0, 0, 2])
+        built = [
+            Relation.from_pairs(3, [(0, 1)]),
+            blocks,
+            Relation.empty(3),
+            Relation.full(3),
+            Relation.identity(3),
+            blocks | Relation.identity(3),
+            blocks.converse(),
+        ]
+        for r in built:
+            assert type(r) is Relation
+            for name in Relation.__slots__:
+                with pytest.raises(AttributeError, match="Relation is immutable"):
+                    setattr(r, name, None)
+
+    def test_direct_construction_refused_naming_the_constructors(self):
+        with pytest.raises(TypeError) as refused:
+            Relation()
+        for name in ("from_pairs", "from_blocks", "empty", "full", "identity"):
+            assert name in str(refused.value)
 
     def test_matrix_read_only(self):
         r = Relation.full(2)
@@ -460,3 +485,75 @@ class TestBitsetKernel:
         pairs = Relation.from_pairs(70, [(69, 0), (3, 64)]).pairs
         assert pairs == ((3, 64), (69, 0))
         assert all(type(x) is int for pair in pairs for x in pair)
+
+
+def _partition_targets(lts):
+    """Each stratum of lts twice: as built from its block ids, and the equal
+    relation built from its pairs."""
+    seq = compute_strata(lts)
+    for k in range(seq.epsilon + 1):
+        s = seq.stratum(k)
+        yield s, Relation.from_pairs(lts.n_states, s.pairs)
+
+
+def _assert_both_forms_agree(lts, candidates):
+    """Against every stratum in both forms, the walk matches the oracles:
+    the violations in order, the early-exit test and the largest relation."""
+    for by_blocks, by_pairs in _partition_targets(lts):
+        assert by_blocks._blocks is not None and by_pairs._blocks is None
+        assert by_blocks == by_pairs
+        smat = by_pairs.matrix
+        largest = matrix_largest_progressing_to(lts, by_pairs)
+        for r in candidates(by_blocks):
+            expected = tuple(scalar_violations(lts, r.pairs, smat))
+            for s in (by_blocks, by_pairs):
+                assert progresses_to(lts, r, s).violations == expected
+                assert progress_holds(lts, r, s) == (not expected)
+        for s in (by_blocks, by_pairs):
+            assert largest_progressing_to(lts, s) == largest
+
+
+class TestBlockSignatures:
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_partition_targets_match_the_oracles(self, n):
+        lts = _kernel_system(800 + n, n)
+        rng = random.Random(900 + n)
+        previous = [Relation.full(n)]
+
+        def candidates(s):
+            # pairs of the stratum, most of which progress to it, and of the
+            # one before, some of which do not, and scattered pairs
+            wider, previous[0] = previous[0], s
+            sample = [rng.sample(x.pairs, min(150, len(x))) for x in (s, wider)]
+            scattered = [(rng.randrange(n), rng.randrange(n)) for _ in range(40)]
+            return [Relation.from_pairs(n, pairs) for pairs in (*sample, scattered)]
+
+        _assert_both_forms_agree(lts, candidates)
+
+    @settings(max_examples=60)
+    @given(lts_with_relations(count=2, max_states=5))
+    def test_partition_targets_match_the_oracles_on_drawn_systems(self, drawn):
+        lts, r1, r2 = drawn
+        _assert_both_forms_agree(lts, lambda s: [r1, r2, s])
+
+    def test_signatures_follow_the_system(self):
+        s = Relation.from_blocks([0, 0])
+        both_loop = Lts(["0", "1"], [(0, "a", 0), (1, "a", 1)])
+        one_loops = Lts(["0", "1"], [(0, "a", 0)])
+        assert progress_holds(both_loop, s, s)
+        assert not progress_holds(one_loops, s, s)
+        assert progress_holds(both_loop, s, s)
+
+    def test_a_proof_whose_pairs_all_match_builds_no_successor_bits(self):
+        lts = _kernel_system(5, 65)
+        seq = compute_strata(lts)
+        bisim = seq.bisimilarity()
+        matching = Relation.from_pairs(65, bisim.pairs[::3])
+        assert check_upto(lts, matching, lrf_function(seq), seq=seq).progression_holds
+        assert lts._succ_bits is None
+        # a pair outside bisimilarity does not progress to its lrf image
+        p, q = next((p, q) for p in range(65) for q in range(65) if (p, q) not in bisim)
+        failing = matching | Relation.from_pairs(65, [(p, q)])
+        report = check_upto(lts, failing, lrf_function(seq), seq=seq)
+        assert {v.pair for v in report.diagnosis.violations} == {(p, q)}
+        assert lts._succ_bits is not None

@@ -263,6 +263,36 @@ class TestStratumSize:
         assert len(r) == 3 and r._size == 3
 
 
+class TestFromBlocks:
+    @pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [1, 5, 0]])
+    def test_out_of_range_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match=f"out of range for {len(ids)} states"):
+            Relation.from_blocks(ids)
+
+    def test_partition_of_the_ids(self):
+        r = Relation.from_blocks([2, 2, 0])
+        assert r == Relation.from_pairs(3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+        assert len(r) == 5 and r.column_bits == r.row_bits
+        assert Relation.from_blocks([]) == Relation.empty(0)
+
+    def test_algebra_results_keep_no_ids(self):
+        r = Relation.from_blocks([0, 0, 2])
+        for result in (r | r, r & r, r - Relation.empty(3), r.compose(r), r.converse()):
+            assert result._blocks is None
+
+    def test_strata_equal_the_relations_of_their_pairs(self):
+        rng = random.Random(2025)
+        systems = [build_T(n) for n in range(12)]
+        systems += [random_lts(rng, n, rng.randint(1, 3), 1.5 / n) for n in range(1, 40, 3)]
+        for lts in systems:
+            seq = compute_strata(lts)
+            for k in range(seq.epsilon + 1):
+                r = seq.stratum(k)
+                by_pairs = Relation.from_pairs(lts.n_states, r.pairs)
+                assert r == by_pairs and hash(r) == hash(by_pairs)
+                assert r._blocks[0] == tuple(seq._row(k))
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(small_lts(max_states=4))
