@@ -154,7 +154,7 @@ def is_respectful_on_samples(
 
     Samples failing the hypothesis (r inside s and r progressing to s) are
     skipped and counted; the first sample where the conclusion fails is
-    returned as the counterexample.
+    returned as the counterexample, with the diagnosis of its progression.
     """
     lts = f.lts
     checked = skipped = 0
@@ -164,8 +164,9 @@ def is_respectful_on_samples(
             continue
         checked += 1
         fr, fs = f(r), f(s)
-        diag = progresses_to(lts, fr, fs) if fr.is_subset(fs) else None
-        if diag is None or not diag.holds:
+        inside = fr.is_subset(fs)
+        if not (inside and progress_holds(lts, fr, fs)):
+            diag = progresses_to(lts, fr, fs) if inside else None
             return RespectfulnessVerdict(RespectfulnessCounterexample(r, s, diag), checked, skipped)
     return RespectfulnessVerdict(None, checked, skipped)
 

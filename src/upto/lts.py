@@ -26,13 +26,12 @@ n^2/8 bytes, the successor bitsets n/8 bytes per state and label.
 A target built by ``Relation.from_blocks`` (every stratum, so every ``lrf``
 image) is a partition and keeps its block ids.  Against it, state p's block
 signature is, per label, the set of blocks of p's successors, numbered once
-per target and system.  A pair whose two states have equal signatures
-progresses, and the walk skips it without looking at a move: each move of
-either side reaches a block the other side reaches too (the signature test
-of partition refinement).  The other pairs are walked move by move as
-above, so the diagnosis is the same, and the successor bitsets are built
-only when some pair is walked.  A proof whose pairs all match costs
-O(n + m) for n states and m transitions, besides reading its pairs.
+per target and system, and a pair progresses exactly when its two numbers
+agree (the signature test of partition refinement).  So the numbers decide
+``progress_holds``, and the largest relation progressing to the target is
+the partition they form, in O(n + m) for n states and m transitions.  The
+row walk lists the unmatched moves of the pairs whose numbers differ, the
+only pairs that fail, and is the decision only against other targets.
 """
 
 from __future__ import annotations
@@ -431,25 +430,17 @@ def _signatures(lts: Lts, s: Relation) -> list[int]:
     return sig
 
 
-def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None, sig=None) -> int:
+def _row_walk(lts: Lts, s: Relation, p: int, qs: Iterable[int], moves=None) -> int:
     """Walk the moves of each pair (p, q), for q in qs, against the target s.
 
-    Given s's block signatures ``sig``, a q whose signature is p's is
-    skipped: s is then a partition, and each move of p or q reaches a block
-    the other reaches too.  Per walked pair: labels in order, then p's moves
-    (clause 1) before q's (clause 2).  A left move p -a-> p1 is matched when
-    row p1 of s meets the a-successors of q; a right move q -a-> q1 when
-    column q1 of s meets the a-successors of p; the successor bitsets are
-    fetched at the first walked pair, the columns at the first right move.
+    Per pair: labels in order, then p's moves (clause 1) before q's (clause
+    2).  A left move p -a-> p1 is matched when row p1 of s meets the
+    a-successors of q; a right move q -a-> q1 when column q1 of s meets the
+    a-successors of p; the columns are fetched at the first right move.
     Given a list ``moves``, every unmatched move is appended to it as a
     ProgressViolation; without one, each q stops at its first unmatched
     move.  Returns the rejected q's as a bitset.
     """
-    if sig is not None:
-        own = sig[p]
-        qs = [q for q in qs if sig[q] != own]
-        if not qs:
-            return 0
     succ, bits = lts._succ, lts._succ_bits or lts._successor_bits()
     rows, cols = s.row_bits, None
     labels, p_succ, p_bits, stop = lts.labels, succ[p], bits[p], moves is None
@@ -487,11 +478,15 @@ def _violations(
     lts: Lts, pairs: Iterable[tuple[int, int]], s: Relation
 ) -> Iterator[ProgressViolation]:
     """Each unmatched move of each pair against the target s: pairs as
-    given, one row walk per run of pairs with the same left state."""
+    given, one row walk per run of pairs with the same left state.  Against
+    a target with block ids, only the pairs whose numbers differ fail, and
+    only they are walked."""
     moves: list[ProgressViolation] = []
-    sig = s._blocks and _signatures(lts, s)
+    if s._blocks:
+        sig = _signatures(lts, s)
+        pairs = [(p, q) for p, q in pairs if sig[p] != sig[q]]
     for p, run in groupby(pairs, _left):
-        _row_walk(lts, s, p, map(_right, run), moves, sig)
+        _row_walk(lts, s, p, map(_right, run), moves)
     return iter(moves)
 
 
@@ -511,9 +506,11 @@ def progress_holds(lts: Lts, r: Relation, s: Relation) -> bool:
     """Like progresses_to(...).holds, stopping at the first rejected pair."""
     if r.n_states != lts.n_states or s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    sig = s._blocks and _signatures(lts, s)
+    if s._blocks:
+        sig = _signatures(lts, s)
+        return all(sig[p] == sig[q] for p, q in r.pairs)
     for p, run in groupby(r.pairs, _left):
-        if _row_walk(lts, s, p, map(_right, run), None, sig):
+        if _row_walk(lts, s, p, map(_right, run)):
             return False
     return True
 
@@ -523,11 +520,14 @@ def largest_progressing_to(lts: Lts, s: Relation) -> Relation:
 
     Relations progressing to a fixed target are closed under union, so the
     largest one is exactly the set of pairs that progress to s on their own:
-    row p holds the q's that the walk of row p does not reject.
+    row p holds the q's that the walk of row p does not reject.  Against a
+    target with block ids, it is the partition of the signature numbers,
+    which keeps them as its ids.
     """
     if s.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
+    if s._blocks:
+        return Relation.from_blocks(_signatures(lts, s))
     n = lts.n_states
-    full, everyone, sig = (1 << n) - 1, range(n), s._blocks and _signatures(lts, s)
-    rows = tuple(full ^ _row_walk(lts, s, p, everyone, None, sig) for p in everyone)
-    return Relation._from_rows(n, rows)
+    full, everyone = (1 << n) - 1, range(n)
+    return Relation._from_rows(n, tuple(full ^ _row_walk(lts, s, p, everyone) for p in everyone))

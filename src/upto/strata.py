@@ -19,9 +19,8 @@ block, so it moves O(log n) times: the chain costs O(m log n) dictionary
 operations for m transitions.  Nested partitions form a tree, and the chain
 is stored as that tree in O(n) memory, which is also the one thing a
 StrataSequence is built from.  A stratum becomes a Relation when asked for,
-built by ``Relation.from_blocks`` from its block ids, which it keeps: the
-progress walk tests a pair against a stratum by the blocks its two states
-reach.
+built by ``Relation.from_blocks`` from its block ids, which it keeps: a
+pair progresses to a stratum iff its two states reach the same blocks.
 """
 
 from __future__ import annotations

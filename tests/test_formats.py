@@ -22,6 +22,15 @@ from upto.formats import (
     RelationParseError,
     parse_aut_document,
     parse_relation_document,
+    resolve_relation,
+)
+from upto.lattice import (
+    chain_lattice,
+    diamond_lattice,
+    m3_lattice,
+    pentagon_lattice,
+    powerset_lattice,
+    validate_lattice,
 )
 from upto.lts import MAX_LATTICE_ELEMENTS, MAX_STATES
 
@@ -254,6 +263,71 @@ class TestLatticeDocuments:
         lat = parse_lattice(self.DIAMOND)
         with pytest.raises(ValueError, match="not a progression"):
             parse_progression("", lat)
+
+
+# state names that a pair line splits off whole and that no parser reads as
+# the start of a comment or of a JSON document
+_PLAIN_NAME = st.text(alphabet="abcxyz019_.'~*", min_size=1, max_size=4)
+_ONE_LINE = st.text(max_size=8).filter(lambda t: t.splitlines() in ([], [t]))
+
+
+@st.composite
+def named_relations(draw):
+    names = draw(st.lists(_PLAIN_NAME, min_size=1, max_size=6, unique=True))
+    lts = Lts(names, [])
+    indices = st.integers(0, len(names) - 1)
+    return lts, draw(st.lists(st.tuples(indices, indices), max_size=20))
+
+
+def _divisor_lattice(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    order = [(i, j) for i, a in enumerate(divisors) for j, b in enumerate(divisors) if b % a == 0]
+    return validate_lattice([str(d) for d in divisors], Relation.from_pairs(len(divisors), order))
+
+
+STANDARD_LATTICES = {
+    **{f"chain{k}": (lambda k=k: chain_lattice(k)) for k in range(1, 6)},
+    **{f"powerset{k}": (lambda k=k: powerset_lattice(k)) for k in range(4)},
+    "diamond": diamond_lattice,
+    "pentagon": pentagon_lattice,
+    "m3": m3_lattice,
+}
+
+
+class TestDocumentRoundTrips:
+    @settings(max_examples=150, deadline=None)
+    @given(named_relations(), st.none() | _ONE_LINE)
+    def test_relation_documents(self, drawn, name):
+        lts, pairs = drawn
+        names = lts.state_names
+        expected = Relation.from_pairs(lts.n_states, pairs)
+        lines = "".join(f"{names[p]} {names[q]}\n" for p, q in pairs)
+        listed = {"pairs": [[names[p], names[q]] for p, q in pairs]}
+        named = listed if name is None else {"name": name, **listed}
+        documents = ((lines, None), (json.dumps(listed), None), (json.dumps(named), name))
+        for text, parsed_name in documents:
+            doc = parse_relation_document(text)
+            assert doc.name == parsed_name
+            assert resolve_relation(doc, lts) == expected
+
+    @staticmethod
+    def _assert_round_trips(lat):
+        names, le, m = lat.elements, lat.le, lat.size
+        below = [(a, b) for a in range(m) for b in range(m) if a != b and le(a, b)]
+        between = lambda a, b: any(le(a, c) and le(c, b) for c in range(m) if c not in (a, b))
+        cover = [(a, b) for a, b in below if not between(a, b)]
+        for kind, pairs in (("leq", [(a, a) for a in range(m)] + below), ("cover", cover)):
+            written = [[names[a], names[b]] for a, b in pairs]
+            assert parse_lattice(json.dumps({"elements": list(names), kind: written})) == lat
+
+    @pytest.mark.parametrize("name", STANDARD_LATTICES)
+    def test_standard_lattice_documents(self, name):
+        self._assert_round_trips(STANDARD_LATTICES[name]())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60))
+    def test_divisor_lattice_documents(self, n):
+        self._assert_round_trips(_divisor_lattice(n))
 
 
 class TestDotExport:

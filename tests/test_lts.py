@@ -17,6 +17,7 @@ from upto import (
 )
 import upto.lts
 from upto.lts import _row_walk, _violations
+from upto.sampling import random_lts
 
 from helpers import (
     all_relations,
@@ -557,3 +558,77 @@ class TestBlockSignatures:
         report = check_upto(lts, failing, lrf_function(seq), seq=seq)
         assert {v.pair for v in report.diagnosis.violations} == {(p, q)}
         assert lts._succ_bits is not None
+
+
+SEEDED_SYSTEMS = {
+    **{f"kernel{n}": (lambda n=n: _kernel_system(1000 + n, n)) for n in KERNEL_SIZES},
+    "random300": lambda: random_lts(random.Random(5), 300, 2, 1.2 / 300),
+}
+
+
+class TestPartitionRule:
+    """Against a stratum, the block signature numbers decide progress: the
+    row walk runs only to list the moves of the pairs that fail."""
+
+    @staticmethod
+    def _assert_each_step_is_the_next_stratum(lts):
+        seq = compute_strata(lts)
+        for k in range(seq.epsilon + 2):
+            step = largest_progressing_to(lts, seq.stratum(k))
+            assert step == seq.stratum(k + 1)
+            assert step._blocks is not None
+
+    @pytest.mark.parametrize("system", SEEDED_SYSTEMS)
+    def test_largest_on_a_stratum_is_the_next_stratum(self, system):
+        self._assert_each_step_is_the_next_stratum(SEEDED_SYSTEMS[system]())
+
+    @settings(max_examples=80)
+    @given(small_lts(max_states=6))
+    def test_largest_on_a_stratum_is_the_next_stratum_on_drawn_systems(self, lts):
+        self._assert_each_step_is_the_next_stratum(lts)
+
+    @pytest.mark.parametrize("n", [9, 65])
+    def test_holds_and_largest_walk_no_row(self, monkeypatch, n):
+        lts = _kernel_system(1100 + n, n)
+        seq = compute_strata(lts)
+        targets = [seq.stratum(k) for k in range(seq.epsilon + 1)]
+        loose = Relation.from_pairs(n, [(p, (p * 7 + 3) % n) for p in range(n)])
+        expected = [
+            (matrix_largest_progressing_to(lts, s), not any(scalar_violations(lts, r.pairs, smat)))
+            for s, smat in ((s, s.matrix) for s in targets)
+            for r in (s, loose)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("row walk started")
+
+        monkeypatch.setattr(upto.lts, "_row_walk", refuse)
+        answers = [
+            (largest_progressing_to(lts, s), progress_holds(lts, r, s))
+            for s in targets
+            for r in (s, loose)
+        ]
+        assert answers == expected
+
+    @pytest.mark.parametrize("n", [9, 65, 130])
+    def test_diagnosis_walks_only_the_failing_pairs(self, monkeypatch, n):
+        lts = _kernel_system(1200 + n, n)
+        seq = compute_strata(lts)
+        rng = random.Random(n)
+        row_walk, walked = upto.lts._row_walk, []
+
+        def recorded(lts, s, p, qs, *rest):
+            qs = list(qs)
+            walked.append((p, qs))
+            return row_walk(lts, s, p, qs, *rest)
+
+        monkeypatch.setattr(upto.lts, "_row_walk", recorded)
+        for k in range(seq.epsilon + 1):
+            s = seq.stratum(k)
+            r = Relation.from_pairs(n, rng.sample(Relation.full(n).pairs, 3 * n))
+            walked.clear()
+            diagnosis = progresses_to(lts, r, s)
+            assert diagnosis.violations == tuple(scalar_violations(lts, r.pairs, s.matrix))
+            failing = [pair for pair in r.pairs if any(scalar_violations(lts, [pair], s.matrix))]
+            assert [(p, q) for p, qs in walked for q in qs] == failing
+            assert len({p for p, _ in walked}) == len(walked)

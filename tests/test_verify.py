@@ -11,6 +11,7 @@ import upto.verify
 from upto.cli import main
 from upto.formats import AutParseError
 from upto.gallery import GalleryVerdict, verify_gallery
+from upto.lattice import LatticeValidationError
 from upto.verify import run_verification
 
 DATA = Path(__file__).parent / "data"
@@ -164,6 +165,24 @@ def test_an_exception_without_marshallable_arguments_keeps_its_message(monkeypat
     planted(monkeypatch, in_a_worker(fail))
     with pytest.raises(KeyError, match="<class 'object'>"):
         run_verification(7, 30)
+
+
+def test_an_exception_from_a_worker_keeps_its_arguments_and_message(monkeypatch, in_a_worker):
+    # its __init__ builds the message from a list of violations, so calling
+    # the class with the message would split the message into characters
+    cpus(monkeypatch, 2)
+    planted_error = LatticeValidationError(["not reflexive: a", "missing join of a and b"])
+
+    def fail():
+        raise planted_error
+
+    planted(monkeypatch, in_a_worker(fail))
+    with pytest.raises(LatticeValidationError) as raised:
+        run_verification(7, 30)
+    assert type(raised.value) is LatticeValidationError
+    assert raised.value.args == planted_error.args
+    message = "not a complete lattice: not reflexive: a; missing join of a and b"
+    assert str(raised.value) == str(planted_error) == message
 
 
 def test_a_killed_worker_names_its_unfinished_check(monkeypatch, in_a_worker):
