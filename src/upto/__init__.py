@@ -19,11 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "checker": "CONTAINED INCONCLUSIVE ProofReport check_companion check_upto",
+        "checker": "CONTAINED INCONCLUSIVE ProofReport check_upto",
         "companion": "DominanceVerdict RespectfulnessVerdict UpToFunction catalog "
         "check_lrf_largest is_respectful_on_samples lrf lrf_function",
         "formats": "AutDocument AutParseError LatticeDocument RelationDocument export_dot "
-        "parse_aut parse_lattice parse_progression parse_relation render_aut render_relation",
+        "parse_aut parse_lattice parse_progression render_aut render_relation",
         "gallery": "GalleryVerdict build_T verify_gallery",
         "lattice": "FiniteLattice LatticeChain LatticeProgression LatticeValidationError "
         "ProgressionVerdict brute_force_largest chain_companion close_to_progression "

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .companion import UpToFunction, lrf_function
+from .companion import UpToFunction
 from .lts import Lts, ProgressDiagnosis, Relation, progresses_to
-from .strata import StrataSequence, compute_strata
+from .strata import StrataSequence
 
 CONTAINED = "contained_in_bisimilarity"
 INCONCLUSIVE = "inconclusive"
@@ -43,29 +43,23 @@ def check_upto(
     r: Relation,
     f: UpToFunction,
     relation_name: str = "R",
-    seq: StrataSequence | None = None,
+    *,
+    seq: StrataSequence,
 ) -> ProofReport:
     """Run the up-to proof obligation for r under f and report.
 
     The conclusion is positive only when the progression holds and f is
     trusted; an untrusted function still gets its progression reported.  The
-    cross check (r inside computed bisimilarity) is evaluated regardless of
-    the outcome.
+    cross check (r inside the bisimilarity of seq, the chain of lts) is
+    evaluated regardless of the outcome.
     """
     if r.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
     if f.lts is not lts and f.lts != lts:
         raise ValueError(f"up-to function {f.name!r} was built for a different LTS")
-    if seq is None:
-        seq = compute_strata(lts)
-    elif seq.lts is not lts and seq.lts != lts:
+    if seq.lts is not lts and seq.lts != lts:
         raise ValueError("strata sequence was computed for a different LTS")
     diagnosis = progresses_to(lts, r, f(r))
     cross_check = seq.depth(r) == seq.epsilon
     return ProofReport(relation_name, f.name, f.trusted, diagnosis, cross_check)
 
-
-def check_companion(lts: Lts, r: Relation, relation_name: str = "R") -> ProofReport:
-    """check_upto with the largest respectful function, the most permissive choice."""
-    seq = compute_strata(lts)
-    return check_upto(lts, r, lrf_function(seq), relation_name=relation_name, seq=seq)

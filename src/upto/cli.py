@@ -65,8 +65,7 @@ def _cmd_bisim(args) -> int:
 
 def _cmd_companion(args) -> int:
     lts = parse_aut(_read(args.lts))
-    relation = parse_relation_document(_read(args.relation))
-    r = resolve_relation(relation, lts)
+    r = resolve_relation(parse_relation_document(_read(args.relation)), lts)
     seq = compute_strata(lts)
     index = seq.depth(r)
     print(f"lrf(R) = {render_relation(seq.stratum(index), lts.state_names)}")
@@ -95,14 +94,11 @@ def _cmd_check_upto(args) -> int:
     doc = parse_relation_document(_read(args.relation))
     r = resolve_relation(doc, lts)
     seq = compute_strata(lts)
-    functions = {f.name: f for f in catalog(lts, seq)}
-    functions["lrf"] = lrf_function(seq)
+    functions = {f.name: f for f in [*catalog(lts, seq), lrf_function(seq)]}
     if args.fn not in functions:
         known = ", ".join(sorted(functions))
         raise ValueError(f"unknown up-to function {args.fn!r}; trusted functions: {known}")
-    report = check_upto(
-        lts, r, functions[args.fn], relation_name=doc.name or "R", seq=seq
-    )
+    report = check_upto(lts, r, functions[args.fn], doc.name or "R", seq=seq)
     _render_report(report, lts.state_names)
     return OK if report.conclusion == CONTAINED else CHECK_FAILED
 

@@ -114,19 +114,20 @@ def catalog(lts: Lts, seq: StrataSequence) -> list[UpToFunction]:
     respectful.  The two primitives that build a relation remember their
     last ``CATALOG_MEMO`` images, which the composites share: they call the
     primitives' plain functions, and only the outer call checks the state
-    count.
+    count.  Bisimilarity is read from the chain, which builds it on the
+    first call, so a catalog that is never applied builds no stratum.
     """
     if seq.lts is not lts and seq.lts != lts:
         raise ValueError("strata sequence was computed for a different LTS")
-    bisim = seq.bisimilarity()
+    bisim = seq.bisimilarity
 
     base = [
         UpToFunction("identity", lts, lambda r: r, trusted=True),
-        UpToFunction("const_bisim", lts, lambda r: bisim, trusted=True),
+        UpToFunction("const_bisim", lts, lambda r: bisim(), trusted=True),
         UpToFunction(
-            "upto_bisim", lts, _remembered(lambda r: bisim.compose(r).compose(bisim)), trusted=True
+            "upto_bisim", lts, _remembered(lambda r: bisim().compose(r).compose(bisim())), trusted=True
         ),
-        UpToFunction("union_bisim", lts, _remembered(lambda r: r | bisim), trusted=True),
+        UpToFunction("union_bisim", lts, _remembered(lambda r: r | bisim()), trusted=True),
     ]
 
     def composed(f: UpToFunction, g: UpToFunction) -> UpToFunction:

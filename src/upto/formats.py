@@ -161,6 +161,7 @@ def parse_relation_document(text: str) -> RelationDocument:
 
 
 def resolve_relation(doc: RelationDocument, lts: Lts) -> Relation:
+    """The relation a parsed relation file names on lts; duplicates collapse."""
     # display names win over raw indices when both could apply
     index = {name: i for i, name in enumerate(lts.state_names)}
 
@@ -172,11 +173,6 @@ def resolve_relation(doc: RelationDocument, lts: Lts) -> Relation:
         raise RelationParseError(f"cannot resolve state {token!r}")
 
     return Relation.from_pairs(lts.n_states, [(resolve(a), resolve(b)) for a, b in doc.pairs])
-
-
-def parse_relation(text: str, lts: Lts) -> Relation:
-    """Parse a relation file (JSON or one pair per line); duplicates collapse."""
-    return resolve_relation(parse_relation_document(text), lts)
 
 
 def render_relation(r: Relation, names: Optional[tuple[str, ...]] = None) -> str:

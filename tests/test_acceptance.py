@@ -19,12 +19,13 @@ from upto import (
     Lts,
     Relation,
     catalog,
-    check_companion,
+    check_upto,
     companion_at,
     compute_strata,
     element_relation,
     largest_progressing_to,
     lrf,
+    lrf_function,
     progress_holds,
     progresses_to,
     z_chain,
@@ -231,12 +232,14 @@ def test_criterion_8_bridge_recovers_relation_results():
 def test_criterion_9_end_to_end_proof_demo():
     with criterion(9, "checker accepts loop~cycle, rejects deadlock~loop"):
         loop_cycle = Lts(["p", "q1", "q2"], [(0, "a", 0), (1, "a", 2), (2, "a", 1)])
-        good = check_companion(loop_cycle, Relation.from_pairs(3, [(0, 1)]))
+        seq = compute_strata(loop_cycle)
+        good = check_upto(loop_cycle, Relation.from_pairs(3, [(0, 1)]), lrf_function(seq), seq=seq)
         assert good.conclusion == CONTAINED
         assert good.progression_holds and good.cross_check
 
         dead_loop = Lts(["d", "l"], [(1, "a", 1)])
-        bad = check_companion(dead_loop, Relation.from_pairs(2, [(0, 1)]))
+        seq = compute_strata(dead_loop)
+        bad = check_upto(dead_loop, Relation.from_pairs(2, [(0, 1)]), lrf_function(seq), seq=seq)
         assert bad.conclusion == INCONCLUSIVE
         assert not bad.progression_holds and not bad.cross_check
 

@@ -9,7 +9,6 @@ from upto import (
     Relation,
     UpToFunction,
     catalog,
-    check_companion,
     check_upto,
     compute_strata,
     lrf_function,
@@ -19,8 +18,9 @@ from upto.sampling import random_lts_pool, random_relation
 
 class TestCheckUpto:
     def test_accepts_loop_vs_cycle(self, loop_vs_cycle):
+        seq = compute_strata(loop_vs_cycle)
         r = Relation.from_pairs(3, [(0, 1)])
-        report = check_companion(loop_vs_cycle, r, relation_name="loop~cycle")
+        report = check_upto(loop_vs_cycle, r, lrf_function(seq), "loop~cycle", seq=seq)
         assert report.progression_holds
         assert report.conclusion == CONTAINED
         assert report.cross_check
@@ -28,8 +28,9 @@ class TestCheckUpto:
         assert report.function_name == "lrf"
 
     def test_rejects_deadlock_vs_loop(self, deadlock_vs_loop):
+        seq = compute_strata(deadlock_vs_loop)
         r = Relation.from_pairs(2, [(0, 1)])
-        report = check_companion(deadlock_vs_loop, r)
+        report = check_upto(deadlock_vs_loop, r, lrf_function(seq), seq=seq)
         assert not report.progression_holds
         assert report.conclusion == INCONCLUSIVE
         assert not report.cross_check
@@ -54,13 +55,14 @@ class TestCheckUpto:
         assert report.conclusion == INCONCLUSIVE
         assert report.cross_check  # the relation really is sound here
 
-    def test_check_companion_matches_explicit_lrf(self, t2):
+    def test_strata_chain_is_required(self, t2):
+        # the caller's chain is the only one: none is computed on the side
         seq = compute_strata(t2)
         r = Relation.from_pairs(3, [(1, 2)])
-        via_shorthand = check_companion(t2, r)
-        via_explicit = check_upto(t2, r, lrf_function(seq), seq=seq)
-        assert via_shorthand == via_explicit
-
+        with pytest.raises(TypeError, match="seq"):
+            check_upto(t2, r, lrf_function(seq))
+        with pytest.raises(TypeError):
+            check_upto(t2, r, lrf_function(seq), "R", seq)
 
     def test_strata_of_another_system_rejected(self, two_selfloops):
         # (0,1) is bisimilar in two_selfloops, not in one_loop
@@ -73,8 +75,9 @@ class TestCheckUpto:
     def test_function_of_another_system_rejected(self, two_selfloops):
         one_loop = Lts(["0", "1"], [(0, "a", 0)])
         r = Relation.from_pairs(2, [(0, 1)])
+        other = lrf_function(compute_strata(two_selfloops))
         with pytest.raises(ValueError, match="different LTS"):
-            check_upto(one_loop, r, lrf_function(compute_strata(two_selfloops)))
+            check_upto(one_loop, r, other, seq=compute_strata(one_loop))
         seq = compute_strata(two_selfloops)
         with pytest.raises(ValueError, match="different LTS"):
             check_upto(one_loop, r, lrf_function(seq), seq=seq)
@@ -111,4 +114,5 @@ class TestCheckerProperties:
                     for f in catalog(lts, seq)
                 )
                 if catalog_success:
-                    assert check_companion(lts, r).conclusion == CONTAINED
+                    report = check_upto(lts, r, lrf_function(seq), seq=seq)
+                    assert report.conclusion == CONTAINED

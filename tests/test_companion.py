@@ -11,6 +11,7 @@ from upto import (
     UpToFunction,
     catalog,
     check_lrf_largest,
+    check_upto,
     compute_strata,
     element_relation,
     is_respectful_on_samples,
@@ -146,6 +147,20 @@ class TestCatalog:
     def test_wrong_lts_rejected(self, t2, deadlock_vs_loop):
         with pytest.raises(ValueError):
             catalog(deadlock_vs_loop, compute_strata(t2))
+
+    def test_bisimilarity_is_built_only_when_a_function_needs_it(self):
+        # on a path, 0 and 1 split in the last round, so lrf of the pair is
+        # the stratum before the stable one
+        n = 8
+        path = Lts([str(p) for p in range(n)], [(p, "a", p + 1) for p in range(n - 1)])
+        seq, pair = compute_strata(path), Relation.from_pairs(n, [(0, 1)])
+        assert seq.depth(pair) == seq.epsilon - 1
+        fns = {f.name: f for f in catalog(path, seq)}
+        report = check_upto(path, pair, lrf_function(seq), seq=seq)
+        assert not report.progression_holds and not report.cross_check
+        assert seq._relations[seq.epsilon] is None
+        assert fns["const_bisim"](pair) is seq.bisimilarity()
+        assert fns["union_bisim"](pair) == pair | seq.bisimilarity()
 
     def test_remembered_images_equal_fresh_ones(self):
         # one catalog serves every relation; each answer must equal a fresh

@@ -12,7 +12,6 @@ from upto import (
     parse_aut,
     parse_lattice,
     parse_progression,
-    parse_relation,
     render_aut,
     render_relation,
     export_dot,
@@ -124,15 +123,17 @@ class TestRenderAut:
 
 class TestRelationDocuments:
     def test_empty_file(self, t2):
-        assert parse_relation("", t2) == Relation.empty(3)
-        assert parse_relation("   \n \n", t2) == Relation.empty(3)
+        assert resolve_relation(parse_relation_document(""), t2) == Relation.empty(3)
+        assert resolve_relation(parse_relation_document("   \n \n"), t2) == Relation.empty(3)
 
     def test_line_format(self, t2):
-        assert parse_relation("1 2\n", t2) == Relation.from_pairs(3, [(1, 2)])
+        r = resolve_relation(parse_relation_document("1 2\n"), t2)
+        assert r == Relation.from_pairs(3, [(1, 2)])
 
     def test_comments_and_duplicates(self, t2):
         text = "# candidate\n1 2\n1 2\n0 0\n"
-        assert parse_relation(text, t2) == Relation.from_pairs(3, [(1, 2), (0, 0)])
+        r = resolve_relation(parse_relation_document(text), t2)
+        assert r == Relation.from_pairs(3, [(1, 2), (0, 0)])
 
     def test_json_object_with_name(self, t2):
         doc = parse_relation_document(json.dumps({"name": "demo", "pairs": [[1, 2]]}))
@@ -153,30 +154,30 @@ class TestRelationDocuments:
                     pass
 
     def test_json_bare_array(self, t2):
-        assert parse_relation("[[0, 1], [2, 2]]", t2) == Relation.from_pairs(
-            3, [(0, 1), (2, 2)]
-        )
+        r = resolve_relation(parse_relation_document("[[0, 1], [2, 2]]"), t2)
+        assert r == Relation.from_pairs(3, [(0, 1), (2, 2)])
 
     def test_names_resolve_before_indices(self, loop_vs_cycle):
         # this system has display names p, q1, q2
-        r = parse_relation("p q1\n", loop_vs_cycle)
+        r = resolve_relation(parse_relation_document("p q1\n"), loop_vs_cycle)
         assert r == Relation.from_pairs(3, [(0, 1)])
 
     def test_name_wins_over_index(self):
         lts = Lts(["1", "0"], [])
-        assert parse_relation("1 0\n", lts) == Relation.from_pairs(2, [(0, 1)])
+        r = resolve_relation(parse_relation_document("1 0\n"), lts)
+        assert r == Relation.from_pairs(2, [(0, 1)])
 
     def test_unresolvable_name(self, t2):
         with pytest.raises(RelationParseError, match="cannot resolve"):
-            parse_relation("0 nope\n", t2)
+            resolve_relation(parse_relation_document("0 nope\n"), t2)
 
     def test_wrong_token_count(self, t2):
         with pytest.raises(RelationParseError, match="line 2"):
-            parse_relation("0 1\n0 1 2\n", t2)
+            resolve_relation(parse_relation_document("0 1\n0 1 2\n"), t2)
 
     def test_bad_json(self, t2):
         with pytest.raises(RelationParseError):
-            parse_relation("{invalid", t2)
+            resolve_relation(parse_relation_document("{invalid"), t2)
 
     def test_render_sorted(self, t2):
         r = Relation.from_pairs(3, [(2, 1), (0, 0)])

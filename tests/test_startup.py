@@ -82,11 +82,11 @@ class TestStartupImports:
 
 # every name upto/__init__.py exports, by the submodule that defines it
 EXPORTED = {
-    "checker": "CONTAINED INCONCLUSIVE ProofReport check_companion check_upto",
+    "checker": "CONTAINED INCONCLUSIVE ProofReport check_upto",
     "companion": "DominanceVerdict RespectfulnessVerdict UpToFunction catalog "
     "check_lrf_largest is_respectful_on_samples lrf lrf_function",
     "formats": "AutDocument AutParseError LatticeDocument RelationDocument export_dot "
-    "parse_aut parse_lattice parse_progression parse_relation render_aut render_relation",
+    "parse_aut parse_lattice parse_progression render_aut render_relation",
     "gallery": "GalleryVerdict build_T verify_gallery",
     "lattice": "FiniteLattice LatticeChain LatticeProgression LatticeValidationError "
     "ProgressionVerdict brute_force_largest chain_companion close_to_progression "
@@ -122,6 +122,15 @@ class TestLazyExports:
         assert not hasattr(upto, "bool_mm")
         with pytest.raises(ImportError):
             exec("from upto import no_such_name", {})
+
+    def test_removed_shorthands_are_gone(self):
+        # check_upto(lts, r, lrf_function(seq), seq=seq) and
+        # resolve_relation(parse_relation_document(text), lts) replace them
+        for name in ("check_companion", "parse_relation"):
+            with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+                getattr(upto, name)
+        assert not hasattr(upto.checker, "check_companion")
+        assert not hasattr(upto.formats, "parse_relation")
 
     def test_submodules_load_on_access(self):
         assert upto.sampling is importlib.import_module("upto.sampling")

@@ -181,6 +181,7 @@ def test_an_exception_from_a_worker_keeps_its_arguments_and_message(monkeypatch,
         run_verification(7, 30)
     assert type(raised.value) is LatticeValidationError
     assert raised.value.args == planted_error.args
+    assert raised.value.violations == planted_error.violations
     message = "not a complete lattice: not reflexive: a; missing join of a and b"
     assert str(raised.value) == str(planted_error) == message
 
