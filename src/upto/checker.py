@@ -9,11 +9,13 @@ run doubles as a soundness test.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .companion import UpToFunction
 from .lts import Lts, ProgressDiagnosis, Relation, progresses_to
 from .strata import StrataSequence
+
+if TYPE_CHECKING:  # an annotation only, so importing this loads no upto.companion
+    from .companion import UpToFunction
 
 CONTAINED = "contained_in_bisimilarity"
 INCONCLUSIVE = "inconclusive"

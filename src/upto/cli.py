@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 a check failed (inconclusive proof, failed
 verification), 2 parse or validation errors.
 
 Start-up is most of a short run, so a command loads only what it uses:
-``upto.lattice`` is imported by ``lattice-companion`` (and the lattice
-parsers), ``upto.verify`` and its samplers by ``verify``.
+``upto.companion`` is imported by ``check-upto``, ``upto.lattice`` by
+``lattice-companion`` (and the lattice parsers), ``upto.verify`` and its
+samplers by ``verify``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .checker import CONTAINED, ProofReport, check_upto
-from .companion import catalog, lrf_function
 from .formats import (
     export_dot,
     parse_aut,
@@ -90,6 +90,8 @@ def _render_report(report: ProofReport, names) -> None:
 
 
 def _cmd_check_upto(args) -> int:
+    from .companion import catalog, lrf_function
+
     lts = parse_aut(_read(args.lts))
     doc = parse_relation_document(_read(args.relation))
     r = resolve_relation(doc, lts)

@@ -89,9 +89,7 @@ def lrf(seq: StrataSequence, r: Relation) -> Relation:
 
 def lrf_function(seq: StrataSequence) -> UpToFunction:
     """The largest respectful function, packaged for the checker."""
-    return UpToFunction(
-        name="lrf", lts=seq.lts, fn=lambda r: lrf(seq, r), trusted=True
-    )
+    return UpToFunction("lrf", seq.lts, lambda r: lrf(seq, r), trusted=True)
 
 
 def _remembered(image: Callable[[Relation], Relation]) -> Callable[[Relation], Relation]:

@@ -11,15 +11,14 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import re
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .lts import MAX_LATTICE_ELEMENTS, MAX_STATES, Lts, Relation
 
-# upto.lattice is imported by parse_lattice and parse_progression only, so
-# the commands on transition systems start without it
+# upto.lattice is imported by parse_lattice and parse_progression only, and
+# json by the JSON parsers, so the commands on .aut files start without them
 if TYPE_CHECKING:
     from .lattice import FiniteLattice, LatticeProgression
 
@@ -49,31 +48,31 @@ class AutDocument(NamedTuple):
 
 
 def parse_aut_document(text: str) -> AutDocument:
-    numbered = [
-        (i, line.strip()) for i, line in enumerate(text.splitlines(), start=1) if line.strip()
-    ]
-    if not numbered:
+    # one pass over the lines, each stripped once: the first non-blank one is the header
+    lines = ((i, line) for i, line in enumerate(map(str.strip, text.splitlines()), 1) if line)
+    head_no, header = next(lines, (1, ""))
+    if not header:
         raise AutParseError("line 1: missing header 'des (initial, transitions, states)'")
-    line_no, header = numbered[0]
     hm = _HEADER_RE.match(header)
     if hm is None:
-        raise AutParseError(f"line {line_no}: malformed header {header!r}")
+        raise AutParseError(f"line {head_no}: malformed header {header!r}")
     initial, m, n = (int(g) for g in hm.groups())
     if n > 0 and initial >= n:
-        raise AutParseError(f"line {line_no}: initial state {initial} out of range for {n} states")
+        raise AutParseError(f"line {head_no}: initial state {initial} out of range for {n} states")
     if n == 0:
-        raise AutParseError(f"line {line_no}: state count must be positive")
+        raise AutParseError(f"line {head_no}: state count must be positive")
     if n > MAX_STATES:
-        raise AutParseError(f"line {line_no}: {n} states; at most {MAX_STATES} are built")
+        raise AutParseError(f"line {head_no}: {n} states; at most {MAX_STATES} are built")
 
     body = []
-    for line_no, line in numbered[1:]:
+    for line_no, line in lines:
         em = _EDGE_RE.match(line)
         if em is None:
             if line.count('"') < 2:
                 raise AutParseError(f"line {line_no}: unterminated quote in {line!r}")
             raise AutParseError(f"line {line_no}: malformed transition {line!r}")
-        src, label, dst = int(em.group(1)), em.group(2), int(em.group(3))
+        src, label, dst = em.groups()
+        src, dst = int(src), int(dst)
         if not label:
             raise AutParseError(f"line {line_no}: empty label")
         if src >= n or dst >= n:
@@ -83,15 +82,14 @@ def parse_aut_document(text: str) -> AutDocument:
         body.append((src, label, dst))
     if len(body) != m:
         raise AutParseError(
-            f"line {numbered[0][0]}: header declares {m} transitions, found {len(body)}"
+            f"line {head_no}: header declares {m} transitions, found {len(body)}"
         )
     return AutDocument(header=(initial, m, n), body=tuple(body))
 
 
 def parse_aut(text: str) -> Lts:
     doc = parse_aut_document(text)
-    n = doc.header[2]
-    return Lts([str(i) for i in range(n)], doc.body)
+    return Lts([str(i) for i in range(doc.header[2])], doc.body)
 
 
 def render_aut(lts: Lts, initial: int = 0) -> str:
@@ -126,6 +124,7 @@ def parse_relation_document(text: str) -> RelationDocument:
     if not stripped:
         return RelationDocument(pairs=())
     if stripped[0] in "{[":
+        import json
         try:
             data = json.loads(stripped)
         except json.JSONDecodeError as e:
@@ -193,6 +192,7 @@ class LatticeDocument(NamedTuple):
 
 @_nesting_limit(LatticeParseError, "lattice document")
 def parse_lattice_document(text: str) -> LatticeDocument:
+    import json
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -4,6 +4,10 @@ T_n has states 0..n with a single label and a transition i -> j exactly when
 i > j.  Two states a < b stay related at stratum g precisely while g <= a,
 so every stratum up to n is distinct; the family witnesses that no fixed
 index works for all systems.
+
+T_n is T_{n+1} cut to states 0..n, which no move leaves, so stratum g of T_n
+is that of T_{n+1} cut to 0..n: by induction on g, the moves of a pair inside
+0..n only reach pairs inside 0..n, where the two chains agree.
 """
 
 from __future__ import annotations
@@ -56,14 +60,14 @@ def _law_holds(ids: list[int], g: int) -> bool:
 
 
 def _first_discrepancy(n: int, seq: StrataSequence) -> GalleryVerdict:
-    """The law tested on a chain of T_n pair by pair, up to the first failure."""
+    """The law tested pair by pair on T_n's strata 0..n+1, up to the first failure."""
+    rows = [seq._row(g) for g in range(n + 2)]
     checked = 0
     for a in range(n + 1):
         for b in range(a + 1, n + 1):
-            for g in range(seq.epsilon + 2):
+            for g, ids in enumerate(rows):
                 checked += 1
-                expected = g <= a
-                actual = (a, b) in seq.stratum(g)
+                expected, actual = g <= a, ids[a] == ids[b]
                 if actual != expected:
                     return GalleryVerdict(
                         checked,
@@ -74,31 +78,25 @@ def _first_discrepancy(n: int, seq: StrataSequence) -> GalleryVerdict:
 
 
 def verify_gallery(n: int) -> GalleryVerdict:
-    """Check the stratum membership law on T_n and the split pair on T_{n+1}.
+    """Check the stratum law on T_n and the split pair on T_{n+1}, on T_{n+1}'s chain.
 
-    On T_n: (a, b) with a < b lies in stratum g iff g <= a, for every g up to
-    one past the convergence index (stability covers the rest).  On T_{n+1}:
-    the pair (n, n+1) survives stratum n but not stratum n+1.  The law is
-    tested on each stratum's block ids, one stratum at a time, in O(n) each
-    (the law needs the partition, not canonical ids); the pairs are walked only
-    to name the first failure, and ``checked`` counts the walk's tests.
+    On T_n: (a, b) with a < b lies in stratum g iff g <= a, for g = 0..n+1
+    (stability covers the rest), tested on the first n + 1 block ids of each
+    stratum, in O(n) each (the law needs the partition, not canonical ids).
+    On T_{n+1}: the pair (n, n+1) survives stratum n but not stratum n+1.
+    The pairs are walked only to name the first failure; ``checked`` counts its tests.
     """
-    # the sign of n first, then the budget of the larger system, T_{n+1}
+    # the sign of n first; build_T then checks the budget of T_{n+1}
     _within_budget(n)
-    _within_budget(n + 1)
-    seq = compute_strata(build_T(n))
-    last = seq.epsilon
-    if not all(_law_holds(seq._row(min(g, last)), g) for g in range(last + 2)):
+    seq = compute_strata(build_T(n + 1))
+    if not all(_law_holds(seq._row(g)[: n + 1], g) for g in range(n + 2)):
         return _first_discrepancy(n, seq)
 
-    above = compute_strata(build_T(n + 1))
-    checked = n * (n + 1) // 2 * (last + 2) + 2
-    if (n, n + 1) not in above.stratum(n):
-        return GalleryVerdict(
-            checked, f"T_{n + 1}: pair ({n},{n + 1}) missing from stratum {n}"
-        )
-    if (n, n + 1) in above.stratum(n + 1):
-        return GalleryVerdict(
-            checked, f"T_{n + 1}: pair ({n},{n + 1}) still present at stratum {n + 1}"
-        )
+    checked = n * (n + 1) // 2 * (n + 2) + 2
+    pair = f"T_{n + 1}: pair ({n},{n + 1})"
+    below, at = seq._row(n), seq._row(n + 1)
+    if below[n] != below[n + 1]:
+        return GalleryVerdict(checked, f"{pair} missing from stratum {n}")
+    if at[n] == at[n + 1]:
+        return GalleryVerdict(checked, f"{pair} still present at stratum {n + 1}")
     return GalleryVerdict(checked, None)

@@ -1,9 +1,12 @@
+import atexit
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -456,6 +459,67 @@ class TestWithoutNumpy:
         )
         assert "Traceback" not in blocked.stderr, blocked.stderr
         assert (blocked.returncode, blocked.stdout) == (code, out)
+
+
+class TestInProcessStdout:
+    """A caller that runs ``main`` in its own process with ``sys.stdout``
+    swapped, as the benchmark's tracer does, gets every byte a separate
+    process would print, and its own stdout gets none: no write around the
+    swapped stream, no buffer flushed later, no exit hook, thread or
+    unreaped child left behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strata", "{t2}"],
+            ["bisim", "{t2}"],
+            ["bisim", "{bad}"],
+            ["companion", "{t2}", "{rel}"],
+            ["check-upto", "{t2}", "{rel}", "--fn", "lrf"],
+            ["check-upto", "{loop}", "{pair}", "--fn", "upto_bisim"],
+            ["gallery", "3"],
+            ["gallery", "3", "--verify"],
+            ["lattice-companion", "{lattice}", "{progression}"],
+            ["verify", "--seed", "7", "--samples", "30"],
+            ["export-dot", "{t2}"],
+        ],
+        ids=lambda argv: " ".join(a.strip("{}") for a in argv),
+    )
+    def test_output_reaches_the_swapped_stream_only(self, capfd, monkeypatch, tmp_path, argv):
+        lattice, progression, _ = LATTICE_COMPANION_RUNS["pentagon-leq"]
+        files = {
+            "t2": T2_AUT, "bad": "des (0,1,2)\n(0,a,1)\n", "loop": LOOP_CYCLE_AUT,
+            "rel": "1 2\n", "pair": "0 1\n", "lattice": lattice, "progression": progression,
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]
+
+        # every process a command makes is forked by os.fork
+        forked = []
+        fork = os.fork
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        stdout, threads = sys.stdout, set(threading.enumerate())
+        hooks = atexit._ncallbacks()  # CPython's count of registered exit hooks
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(argv)
+        assert sys.stdout is stdout
+        assert capfd.readouterr().out == ""
+        assert (atexit._ncallbacks(), set(threading.enumerate())) == (hooks, threads)
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+        alone = subprocess.run([sys.executable, "-m", "upto", *argv], capture_output=True)
+        assert (alone.returncode, alone.stdout) == (code, buffer.getvalue().encode())
 
 
 # runs upto.cli.main(argv) with its address space capped at 768 MB

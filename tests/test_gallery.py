@@ -2,10 +2,10 @@ import tracemalloc
 
 import pytest
 
-from upto import compute_strata
+from upto import Relation, compute_strata
 from upto.gallery import MAX_GALLERY_TRANSITIONS, GalleryVerdict, build_T, verify_gallery
 
-from helpers import blocks, chain_from_rows
+from helpers import blocks, canonical, chain_from_rows
 
 
 class TestBuildT:
@@ -71,36 +71,65 @@ class TestVerifyGallery:
         seq = compute_strata(build_T(n + 1))
         assert seq.stratum(n) != seq.stratum(n + 1)
 
-    # T_6 has 21 pairs a < b, each tested at strata 0..6 (the planted chain
-    # stabilizes at 5) in the order a, b, stratum
+    # T_6 has 21 pairs a < b, each tested at strata 0..7 in the order a, b,
+    # stratum
     @pytest.mark.parametrize(
         "pad, checked, discrepancy",
         [
-            # the padded state joins state 5: the chain is T_6's own up to
-            # stratum 5, and the last pair fails at the last stratum
-            (-1, 21 * 7, "T_6: pair (5,6) at stratum 6: expected out, got in"),
-            # the padded state joins state 0, which T_6 splits off in round 1
-            (0, 5 * 7 + 2, "T_6: pair (0,6) at stratum 1: expected out, got in"),
+            # the padded states join state 5: the chain is T_6's own up to
+            # stratum 5, and the last pair fails at stratum 6
+            (-1, 20 * 8 + 7, "T_6: pair (5,6) at stratum 6: expected out, got in"),
+            # the padded states join state 0, which T_6 splits off in round 1
+            (0, 5 * 8 + 2, "T_6: pair (0,6) at stratum 1: expected out, got in"),
         ],
         ids=["joins-state-5", "joins-state-0"],
     )
     def test_planted_wrong_chain_names_the_first_discrepancy(
         self, monkeypatch, pad, checked, discrepancy
     ):
-        # T_6's chain replaced by T_5's, padded with state 6 in the block of
-        # state pad; T_7's chain is left alone
+        # T_7's chain, the one verify_gallery(6) reads, replaced by T_5's,
+        # padded with states 6 and 7 in the block of state pad
         real = compute_strata
 
         def planted(lts):
-            if lts.n_states != 7:
-                return real(lts)
+            assert lts.n_states == 8
             rows = blocks(real(build_T(5)))
-            return chain_from_rows(lts, [row + (row[pad],) for row in rows])
+            return chain_from_rows(lts, [row + (row[pad],) * 2 for row in rows])
 
         monkeypatch.setattr("upto.gallery.compute_strata", planted)
         verdict = verify_gallery(6)
         assert verdict == GalleryVerdict(checked, discrepancy)
         assert not verdict.passed
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 40])
+    def test_one_chain_and_no_relation(self, monkeypatch, n):
+        calls = {"compute_strata": 0, "Relation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            "upto.gallery.compute_strata", counted("compute_strata", compute_strata)
+        )
+        # every Relation constructor ends in _from_rows
+        rows = counted("Relation", Relation._from_rows)
+        monkeypatch.setattr(Relation, "_from_rows", staticmethod(rows))
+        assert verify_gallery(n).passed
+        assert calls == {"compute_strata": 1, "Relation": 0}
+        # the count does see a stratum built as a Relation
+        compute_strata(build_T(n)).stratum(0)
+        assert calls["Relation"] == 1
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_strata_of_T_n_are_those_of_T_n_plus_1_cut_to_its_states(self, n):
+        # the identity the verdict reads T_n's strata by
+        below, above = compute_strata(build_T(n)), compute_strata(build_T(n + 1))
+        for g in range(n + 2):
+            assert canonical(above._row(g)[: n + 1]) == canonical(below._row(g))
 
 
 class TestTransitionBudget:
@@ -131,6 +160,6 @@ class TestTransitionBudget:
         assert str(error.value) == message
 
     def test_verify_checks_the_larger_system_first(self, no_building):
-        # verify_gallery(n) also builds T_{n+1}
+        # verify_gallery(n) builds T_{n+1}
         with pytest.raises(ValueError, match=f"^T_{self.LIMIT + 1} has 1000405 transitions"):
             verify_gallery(self.LIMIT)

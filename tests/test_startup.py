@@ -15,12 +15,19 @@ import upto
 # inspect, ast, dis and tokenize
 HEAVY = ("dataclasses", "upto.lattice", "upto.verify", "upto.sampling", "numpy")
 
-# runs upto.cli.main(argv), then writes which of HEAVY it loaded to stderr
+# loaded by check-upto and by the JSON document parsers, and by no other
+# command on a transition system
+LAZY = ("upto.companion", "json")
+
+# runs upto.cli.main(argv), then writes which of the watched modules it
+# loaded to stderr; the modules are listed before the probe imports json
 PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "import upto.cli\n"
     "code = upto.cli.main(sys.argv[2:])\n"
-    "print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]), file=sys.stderr)\n"
+    "loaded = set(sys.modules)\n"
+    "import json\n"
+    "print(json.dumps([m for m in json.loads(sys.argv[1]) if m in loaded]), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -30,9 +37,9 @@ DIAMOND_JSON = (
 )
 
 
-def probe(*argv):
+def probe(*argv, watched=HEAVY):
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(HEAVY), *argv],
+        [sys.executable, "-c", PROBE, json.dumps(watched), *argv],
         capture_output=True, text=True, timeout=120,
     )
     *messages, loaded = done.stderr.splitlines()
@@ -48,12 +55,22 @@ class TestStartupImports:
         assert done.stdout == "['upto']\n"
 
     def test_gallery_loads_none_of_the_heavy_modules(self):
-        assert probe("gallery", "0") == (0, "des (0,0,1)\n", [], [])
+        assert probe("gallery", "0", watched=HEAVY + LAZY) == (0, "des (0,0,1)\n", [], [])
 
     def test_bisim_loads_none_of_the_heavy_modules(self, tmp_path):
         aut = tmp_path / "t2.aut"
         aut.write_text('des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n')
-        assert probe("bisim", str(aut)) == (0, "bisimilarity = {(0,0), (1,1), (2,2)}\n", [], [])
+        out = "bisimilarity = {(0,0), (1,1), (2,2)}\n"
+        assert probe("bisim", str(aut), watched=HEAVY + LAZY) == (0, out, [], [])
+
+    def test_check_upto_loads_the_catalog(self, tmp_path):
+        aut = tmp_path / "t2.aut"
+        aut.write_text('des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n')
+        rel = tmp_path / "r.rel"
+        rel.write_text("1 2\n")
+        code, out, messages, loaded = probe("check-upto", str(aut), str(rel), watched=HEAVY + LAZY)
+        assert (code, messages, loaded) == (1, [], ["upto.companion"])
+        assert out.startswith("relation = R\nfunction = lrf\nprogression = fails\n")
 
     def test_verify_loads_the_suite_and_still_runs(self):
         code, out, messages, loaded = probe("verify", "--samples", "20")
