@@ -4,8 +4,8 @@ The .aut grammar is the single interchange format for transition systems;
 relations and lattices use small JSON documents (with a plain line-per-pair
 text form for relations).  Lattice orders and progressions are parsed
 straight into row-bitset ``Relation``s over element indices; a lattice given
-by its cover pairs is closed into its order by composing that relation with
-itself until it is stable.  All rendered output is canonically sorted so
+by its cover pairs is closed into its order in one Warshall pass over the
+rows, one step per element.  All rendered output is canonically sorted so
 repeated runs are byte-identical.
 """
 
@@ -176,12 +176,12 @@ def resolve_relation(doc: RelationDocument, lts: Lts) -> Relation:
 
 def render_relation(r: Relation, names: Optional[tuple[str, ...]] = None) -> str:
     # len(r) is a popcount (a stratum knows it), so an oversized relation
-    # builds none of its pairs
+    # lists no pair; the others are iterated, so a printed stratum keeps none
     size = len(r)
     if size > MAX_RENDERED_PAIRS:
         raise ValueError(f"relation has {size} pairs; at most {MAX_RENDERED_PAIRS} are rendered")
     names = range(r.n_states) if names is None else names
-    return "{" + ", ".join(f"({names[p]},{names[q]})" for p, q in r.pairs) + "}"
+    return "{" + ", ".join(f"({names[p]},{names[q]})" for p, q in r) + "}"
 
 
 class LatticeDocument(NamedTuple):
@@ -223,7 +223,8 @@ def parse_lattice_document(text: str) -> LatticeDocument:
 
 
 def parse_lattice(text: str) -> FiniteLattice:
-    """Parse and validate a lattice; cover input is closed before validation."""
+    """Parse and validate a lattice; a cover is closed first, from its rows
+    with the diagonal set: for each k, every row holding k takes in row k."""
     from .lattice import validate_lattice
 
     doc = parse_lattice_document(text)
@@ -234,9 +235,11 @@ def parse_lattice(text: str) -> FiniteLattice:
             raise LatticeParseError(f"order pair ({a!r}, {b!r}) names unknown elements")
     order = Relation.from_pairs(m, [(index[a], index[b]) for a, b in doc.pairs])
     if doc.kind == "cover":
-        closed = order | Relation.identity(m)
-        while closed != order:
-            order, closed = closed, closed | closed.compose(closed)
+        rows = [row | 1 << x for x, row in enumerate(order.row_bits)]
+        for k in range(m):
+            bit, row_k = 1 << k, rows[k]
+            rows = [row | row_k if row & bit else row for row in rows]
+        order = Relation._from_rows(m, tuple(rows))
     return validate_lattice(doc.elements, order)
 
 

@@ -157,11 +157,11 @@ def validate_lattice(elements: Sequence[str], order: Relation) -> FiniteLattice:
     for i, row in enumerate(order.row_bits):
         if not row >> i & 1:
             violations.append(f"not reflexive: {names[i]}")
-    for i, j in (order & order.converse()).pairs:
+    for i, j in order & order.converse():
         if i < j:
             violations.append(f"not antisymmetric: {names[i]} and {names[j]}")
     gap = order.compose(order) - order
-    for count, (i, j) in enumerate(gap.pairs):
+    for count, (i, j) in enumerate(gap):
         if count >= 20:
             violations.append(f"... and {len(gap) - 20} more transitivity gaps")
             break

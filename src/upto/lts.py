@@ -18,8 +18,8 @@ holds p's a-successors, sorted.  A relation is one int per state: bit q of
 ``Relation.row_bits[p]`` is set iff (p, q) is in it.  The walk tests each
 move with one AND of a row (or column) of the target and a successor bitset
 (bit q of ``Lts._successor_bits()[p][a]`` is set when p has an a-move to q).
-A relation's q's come from its cached ``pairs``, not from walking the bits
-of wide rows.  Columns are built when a right move first needs them; an
+The walk's q's come from the cached ``pairs``; iterating a relation keeps
+nothing.  Columns are built when a right move first needs them; an
 equivalence's columns are its rows.  An n-state relation's rows take at most
 n^2/8 bytes, the successor bitsets n/8 bytes per state and label.
 
@@ -240,15 +240,10 @@ class Relation:
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The member pairs in sorted order, cached."""
+        """The member pairs in sorted order, cached for readers that come back."""
         if self._pairs is None:
-            pairs = []
-            for p, row in enumerate(self.row_bits):
-                while row:
-                    low = row & -row
-                    pairs.append((p, low.bit_length() - 1))
-                    row ^= low
-            _set_pairs(self, tuple(pairs))
+            # not tuple(self): tuple() asks len() for a size hint, a popcount of every row
+            _set_pairs(self, tuple(iter(self)))
         return self._pairs
 
     @property
@@ -256,12 +251,8 @@ class Relation:
         """Column q as an int: bit p is set iff (p, q) is in the relation. Cached."""
         if self._cols is None:
             cols = [0] * self.n_states
-            for p, row in enumerate(self.row_bits):
-                bit = 1 << p
-                while row:
-                    low = row & -row
-                    cols[low.bit_length() - 1] |= bit
-                    row ^= low
+            for p, q in self:
+                cols[q] |= 1 << p
             _set_cols(self, tuple(cols))
         return self._cols
 
@@ -270,8 +261,13 @@ class Relation:
         n = self.n_states
         return 0 <= p < n and 0 <= q < n and bool(self.row_bits[p] >> q & 1)
 
-    def __iter__(self):
-        return iter(self.pairs)
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        """The member pairs in sorted order, read off the rows; nothing is kept."""
+        for p, row in enumerate(self.row_bits):
+            while row:
+                low = row & -row
+                yield (p, low.bit_length() - 1)
+                row ^= low
 
     def __len__(self) -> int:
         """The pair count, cached."""
@@ -350,7 +346,7 @@ class Relation:
         return hash((self.n_states, self.row_bits))
 
     def __repr__(self):
-        inner = ", ".join(f"({p},{q})" for p, q in self.pairs)
+        inner = ", ".join(f"({p},{q})" for p, q in self)
         return f"Relation({self.n_states}, {{{inner}}})"
 
 

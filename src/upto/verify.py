@@ -222,7 +222,7 @@ def _strata_index_monotone(suite: _Suite, rng: random.Random):
 
 def _without_ids(s: Relation) -> Relation:
     """s without its block ids: the row walk, not the signatures, decides progress to it."""
-    return Relation.from_pairs(s.n_states, s.pairs)
+    return Relation.from_pairs(s.n_states, s)
 
 
 def _strata_progress_step(suite: _Suite, rng: random.Random):

@@ -18,8 +18,10 @@ chain_from_rows and chain_from_relations build a chain's refinement tree
 from rows of block ids or from equivalence relations, numbered apart from
 compute_strata's, and blocks reads a chain back as canonical rows of block
 ids.  fixpoint_lrf computes the largest respectful function as the greatest
-fixpoint of its definition, on every relation.  matrix_relation is the one
-way a test turns a numpy boolean matrix into a Relation.
+fixpoint of its definition, on every relation.  squared_closure closes a
+lattice cover by squaring a set of pairs until it is stable.
+matrix_relation is the one way a test turns a numpy boolean matrix into a
+Relation.
 """
 
 import itertools
@@ -40,6 +42,17 @@ def matrix_relation(mat):
     if mat.shape != (n, n):
         raise ValueError(f"matrix shape {mat.shape} is not square")
     return Relation.from_pairs(n, np.argwhere(mat).tolist())
+
+
+def squared_closure(m, pairs):
+    """The reflexive-transitive closure of pairs on m points, as a set: the
+    diagonal added, then composed with itself until nothing is added."""
+    closed = set(pairs) | {(x, x) for x in range(m)}
+    while True:
+        step = closed | {(a, c) for a, b in closed for b2, c in closed if b == b2}
+        if step == closed:
+            return closed
+        closed = step
 
 
 def canonical(row):

@@ -16,6 +16,7 @@ from upto.cli import main
 from upto.formats import MAX_RENDERED_PAIRS
 from upto.gallery import GalleryVerdict, verify_gallery
 from upto.lts import MAX_LATTICE_ELEMENTS, MAX_STATES, MAX_TABLE_SLOTS
+from upto.strata import compute_strata
 from upto.verify import run_verification
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
@@ -52,6 +53,25 @@ class TestStrataCommands:
         assert lines[1] == "~1 = {(0,0), (1,1), (1,2), (2,1), (2,2)}"
         assert lines[2] == "~2 = {(0,0), (1,1), (2,2)}"
         assert lines[3] == "epsilon = 2"
+
+    def test_printed_strata_keep_no_pairs(self, capsys, monkeypatch, tmp_path):
+        # each line reads its stratum's pairs off the rows: the chain keeps
+        # its strata, and none of them keeps its pairs
+        n, aut = 120, tmp_path / "path.aut"
+        aut.write_text(
+            f"des (0,{n - 1},{n})\n" + "".join(f'({p},"a",{p + 1})\n' for p in range(n - 1))
+        )
+        chains = []
+        monkeypatch.setattr(
+            "upto.cli.compute_strata", lambda lts: chains.append(compute_strata(lts)) or chains[-1]
+        )
+        code, out, _ = run_cli(capsys, "strata", str(aut))
+        assert code == 0
+        assert len(out.splitlines()) == n + 1 and out.endswith(f"epsilon = {n - 1}\n")
+        (seq,) = chains
+        held = [r for r in seq._relations if r is not None]
+        assert len(held) == n
+        assert all(r._pairs is None for r in held)
 
     def test_bisim(self, capsys, t2_file):
         code, out, _ = run_cli(capsys, "bisim", t2_file)

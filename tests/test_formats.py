@@ -33,7 +33,7 @@ from upto.lattice import (
 )
 from upto.lts import MAX_LATTICE_ELEMENTS, MAX_STATES
 
-from helpers import small_lts
+from helpers import small_lts, squared_closure
 
 T2_AUT = 'des (0,3,3)\n(1,"t",0)\n(2,"t",0)\n(2,"t",1)\n'
 
@@ -216,6 +216,28 @@ class TestLatticeDocuments:
         assert lat.size == 4
         assert lat.join(lat.index("x"), lat.index("y")) == lat.index("top")
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3 * m),
+            )
+        )
+    )
+    def test_cover_closure_matches_squaring(self, drawn):
+        # any cover, cycles and (a, a) pairs included: the order handed to
+        # validation is its reflexive-transitive closure
+        m, pairs = drawn
+        names = [f"e{i}" for i in range(m)]
+        text = json.dumps({"elements": names, "cover": [[names[a], names[b]] for a, b in pairs]})
+        handed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("upto.lattice.validate_lattice", lambda elements, order: handed.append(order))
+            parse_lattice(text)
+        (order,) = handed
+        assert set(order) == squared_closure(m, pairs)
+
     def test_full_order_form(self):
         text = json.dumps(
             {"elements": ["b", "t"], "leq": [["b", "b"], ["b", "t"], ["t", "t"]]}
@@ -317,7 +339,10 @@ class TestDocumentRoundTrips:
         below = [(a, b) for a in range(m) for b in range(m) if a != b and le(a, b)]
         between = lambda a, b: any(le(a, c) and le(c, b) for c in range(m) if c not in (a, b))
         cover = [(a, b) for a, b in below if not between(a, b)]
-        for kind, pairs in (("leq", [(a, a) for a in range(m)] + below), ("cover", cover)):
+        diagonal = [(a, a) for a in range(m)]
+        # a cover may list (a, a) pairs: they are closed like the others
+        kinds = (("leq", diagonal + below), ("cover", cover), ("cover", cover + diagonal))
+        for kind, pairs in kinds:
             written = [[names[a], names[b]] for a, b in pairs]
             assert parse_lattice(json.dumps({"elements": list(names), kind: written})) == lat
 

@@ -159,6 +159,39 @@ class TestRelationAlgebra:
         assert list(r) == [(0, 1), (2, 0)]
         assert len(r) == 2
 
+    @given(
+        st.integers(1, 70).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+            )
+        )
+    )
+    def test_iteration_lists_the_cached_pairs_and_keeps_nothing(self, drawn):
+        n, given_pairs = drawn
+        r = Relation.from_pairs(n, given_pairs)
+        assert list(r) == sorted(set(given_pairs))
+        assert r._pairs is None
+        assert list(r) == list(r.pairs)
+        # building pairs counts nothing: tuple(r) would ask len() for a size hint
+        fresh = Relation.from_pairs(n, given_pairs)
+        assert fresh.pairs == r.pairs and fresh._size is None
+
+    def test_iteration_of_every_constructor(self):
+        n, ids = 66, [p % 3 for p in range(66)]
+        everything = [(p, q) for p in range(n) for q in range(n)]
+        built = [
+            (Relation.from_blocks(ids), [(p, q) for p, q in everything if ids[p] == ids[q]]),
+            (Relation.from_blocks([]), []),
+            (Relation.empty(n), []),
+            (Relation.full(n), everything),
+            (Relation.identity(n), [(p, p) for p in range(n)]),
+        ]
+        for r, expected in built:
+            assert list(r) == expected
+            assert r._pairs is None
+            assert list(r.pairs) == expected
+
     def test_no_matrix_constructor(self):
         # two rows of a matrix would otherwise read as the pairs (1, 0) and (0, 1)
         with pytest.raises(TypeError):
