@@ -4,14 +4,16 @@ The workflow: evaluate the chosen function on the candidate, test that the
 candidate progresses to the image, and conclude containment in bisimilarity
 only when the function is trusted.  An independent containment check against
 the computed bisimilarity is always recorded alongside, so every successful
-run doubles as a soundness test.
+run doubles as a soundness test.  The chain carries its system, which the
+proof reads from it; an up-to function carries the system it was built for,
+and one built for another system is refused.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .lts import Lts, ProgressDiagnosis, Relation, progresses_to
+from .lts import ProgressDiagnosis, Relation, progresses_to
 from .strata import StrataSequence
 
 if TYPE_CHECKING:  # an annotation only, so importing this loads no upto.companion
@@ -41,26 +43,19 @@ class ProofReport(NamedTuple):
 
 
 def check_upto(
-    lts: Lts,
-    r: Relation,
-    f: UpToFunction,
-    relation_name: str = "R",
-    *,
-    seq: StrataSequence,
+    seq: StrataSequence, r: Relation, f: UpToFunction, relation_name: str = "R"
 ) -> ProofReport:
-    """Run the up-to proof obligation for r under f and report.
+    """Run the up-to proof obligation for r under f on the system of seq, and report.
 
     The conclusion is positive only when the progression holds and f is
     trusted; an untrusted function still gets its progression reported.  The
-    cross check (r inside the bisimilarity of seq, the chain of lts) is
-    evaluated regardless of the outcome.
+    cross check (r inside the bisimilarity of seq) is evaluated regardless of
+    the outcome.  f must be built for seq's system, or an equal one.
     """
+    lts = seq.lts
     if r.n_states != lts.n_states:
         raise ValueError("relation dimensions do not match the LTS")
-    if f.lts is not lts and f.lts != lts:
-        raise ValueError(f"up-to function {f.name!r} was built for a different LTS")
-    if seq.lts is not lts and seq.lts != lts:
-        raise ValueError("strata sequence was computed for a different LTS")
+    f.require_system(lts)
     diagnosis = progresses_to(lts, r, f(r))
     cross_check = seq.depth(r) == seq.epsilon
     return ProofReport(relation_name, f.name, f.trusted, diagnosis, cross_check)

@@ -96,11 +96,11 @@ def _cmd_check_upto(args) -> int:
     doc = parse_relation_document(_read(args.relation))
     r = resolve_relation(doc, lts)
     seq = compute_strata(lts)
-    functions = {f.name: f for f in [*catalog(lts, seq), lrf_function(seq)]}
+    functions = {f.name: f for f in [*catalog(seq), lrf_function(seq)]}
     if args.fn not in functions:
         known = ", ".join(sorted(functions))
         raise ValueError(f"unknown up-to function {args.fn!r}; trusted functions: {known}")
-    report = check_upto(lts, r, functions[args.fn], doc.name or "R", seq=seq)
+    report = check_upto(seq, r, functions[args.fn], doc.name or "R")
     _render_report(report, lts.state_names)
     return OK if report.conclusion == CONTAINED else CHECK_FAILED
 
@@ -122,12 +122,12 @@ def _cmd_lattice_companion(args) -> int:
 
     lattice = parse_lattice(_read(args.lattice))
     progression = parse_progression(_read(args.progression), lattice)
-    chain = z_chain(lattice, progression)
+    chain = z_chain(progression)
     for k, z in enumerate(chain.zs):
         print(f"z[{k}] = {lattice.elements[z]}")
     print(f"stable at index {chain.stable_index}")
     for x in range(lattice.size):
-        t = companion_at(lattice, progression, chain, x)
+        t = companion_at(lattice, chain, x)
         print(f"companion({lattice.elements[x]}) = {lattice.elements[t]}")
     return OK
 

@@ -4,6 +4,9 @@ The largest respectful function maps a relation to the smallest stratum
 containing it.  This module computes it from a precomputed strata chain,
 hosts the named up-to functions used by the proof checker, and provides
 sample-based checks for respectfulness and for dominance of the catalog.
+Each up-to function keeps the system it was built for; the catalog and
+``lrf_function`` build theirs for a chain's system, and the dominance check
+refuses a function of another system, by the checker's rule.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ class UpToFunction(NamedTuple):
         if out.n_states != self.lts.n_states:
             raise ValueError(f"up-to function {self.name!r} changed the state set")
         return out
+
+    def require_system(self, lts: Lts) -> None:
+        """Raise ValueError unless this function was built for lts or an equal system."""
+        if self.lts is not lts and self.lts != lts:
+            raise ValueError(f"up-to function {self.name!r} was built for a different LTS")
 
 
 class RespectfulnessCounterexample(NamedTuple):
@@ -101,7 +109,7 @@ def _remembered(image: Callable[[Relation], Relation]) -> Callable[[Relation], R
     return lambda r: by_rows(r.row_bits)
 
 
-def catalog(lts: Lts, seq: StrataSequence) -> list[UpToFunction]:
+def catalog(seq: StrataSequence) -> list[UpToFunction]:
     """Named up-to functions known sound: four primitives and their pairwise
     compositions and pointwise unions.
 
@@ -112,12 +120,11 @@ def catalog(lts: Lts, seq: StrataSequence) -> list[UpToFunction]:
     respectful.  The two primitives that build a relation remember their
     last ``CATALOG_MEMO`` images, which the composites share: they call the
     primitives' plain functions, and only the outer call checks the state
-    count.  Bisimilarity is read from the chain, which builds it on the
-    first call, so a catalog that is never applied builds no stratum.
+    count.  Every entry is built for the chain's system.  Bisimilarity is
+    read from the chain, which builds it on the first call, so a catalog
+    that is never applied builds no stratum.
     """
-    if seq.lts is not lts and seq.lts != lts:
-        raise ValueError("strata sequence was computed for a different LTS")
-    bisim = seq.bisimilarity
+    lts, bisim = seq.lts, seq.bisimilarity
 
     base = [
         UpToFunction("identity", lts, lambda r: r, trusted=True),
@@ -179,8 +186,11 @@ def check_lrf_largest(
     walks the functions in order, each over all of rs, and stops at the
     first violation; ``samples_checked`` counts the (function, relation)
     pairs checked.  Any violation is a bug: every respectful function is
-    dominated by the largest one.
+    dominated by the largest one.  A function built for another system than
+    seq's raises ValueError before any is applied.
     """
+    for f in functions:
+        f.require_system(seq.lts)
     bounds = [lrf(seq, r) for r in rs]
     checked = 0
     for f in functions:

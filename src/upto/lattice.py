@@ -10,7 +10,9 @@ by ``largest_progressing_to`` from the full relation, are another, whose
 chain is the strata and whose companion is ``lrf``.  Brute-force enumeration
 over all endofunctions provides the oracle that the companion is the largest
 function in both the order-and-relation-monotone sense and the compatible
-sense.
+sense.  A ``LatticeProgression`` keeps the lattice it was validated on, so
+the functions of a progression take it alone; ``companion_at`` reads only the
+order and meets of the lattice that its chain was built on.
 
 Every relation on lattice elements is a row-bitset ``Relation`` of ``lts``:
 the order of a ``FiniteLattice`` (row i is the up-set of i, column i its
@@ -27,7 +29,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
-from .lts import Relation
+from .lts import Immutable, Relation
 
 _T = TypeVar("_T")  # a lattice element
 
@@ -42,7 +44,7 @@ class LatticeValidationError(ValueError):
         super().__init__(f"not a complete lattice: {preview}{extra}")
 
 
-class FiniteLattice:
+class FiniteLattice(Immutable):
     """A validated finite complete lattice: its order and join/meet tables.
 
     Two lattices are equal when they have the same element names and order.
@@ -56,9 +58,6 @@ class FiniteLattice:
         values = (elements, order, join_table, meet_table, top, bottom, index)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteLattice is immutable")
 
     @property
     def size(self) -> int:
@@ -238,7 +237,7 @@ def is_progression(lattice: FiniteLattice, rel: Relation) -> ProgressionVerdict:
     return ProgressionVerdict(tuple(violations), len(unclosed) + len(unjoined))
 
 
-class LatticeProgression:
+class LatticeProgression(Immutable):
     """A relation validated to satisfy both progression conditions.
 
     s_vector[b] is the join of the pre-image of b.
@@ -256,9 +255,6 @@ class LatticeProgression:
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "s_vector", _pre_image_joins(lattice, rel))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeProgression is immutable")
 
 
 def close_to_progression(lattice: FiniteLattice, seed: Relation) -> LatticeProgression:
@@ -290,11 +286,6 @@ class LatticeChain(NamedTuple):
         return len(self.zs) - 1
 
 
-def _same_lattice(lattice: FiniteLattice, progression: LatticeProgression) -> None:
-    if progression.lattice is not lattice and progression.lattice != lattice:
-        raise ValueError("progression was built on a different lattice")
-
-
 def descending_chain(
     top: _T, step: Callable[[_T], _T], le: Callable[[_T, _T], bool]
 ) -> tuple[_T, ...]:
@@ -319,21 +310,16 @@ def chain_companion(
     return reduce(meet, [z for z in zs if le(x, z)])
 
 
-def z_chain(lattice: FiniteLattice, progression: LatticeProgression) -> LatticeChain:
-    """Iterate join-of-pre-image from the top until it stabilizes."""
-    _same_lattice(lattice, progression)
+def z_chain(progression: LatticeProgression) -> LatticeChain:
+    """Iterate join-of-pre-image from the lattice's top until it stabilizes."""
+    lattice = progression.lattice
     zs = descending_chain(lattice.top, progression.s_vector.__getitem__, lattice.le)
     return LatticeChain(zs)
 
 
-def companion_at(
-    lattice: FiniteLattice,
-    progression: LatticeProgression,
-    chain: LatticeChain,
-    x: int,
-) -> int:
-    """Meet of all chain elements above x: the deepest stratum containing x."""
-    _same_lattice(lattice, progression)
+def companion_at(lattice: FiniteLattice, chain: LatticeChain, x: int) -> int:
+    """Meet of all chain elements above x: the deepest stratum containing x.
+    The chain is one that ``z_chain`` built on this lattice."""
     return chain_companion(chain.zs, x, lattice.le, lattice.meet)
 
 
@@ -368,23 +354,19 @@ def is_monotone(lattice: FiniteLattice, f: Sequence[int]) -> bool:
     return _preserves(lattice.order, _function_row(lattice, f))
 
 
-def is_r_monotone(
-    lattice: FiniteLattice, progression: LatticeProgression, f: Sequence[int]
-) -> bool:
+def is_r_monotone(progression: LatticeProgression, f: Sequence[int]) -> bool:
     """Monotone with respect to the intersection of the order and the progression."""
-    _same_lattice(lattice, progression)
+    lattice = progression.lattice
     return _preserves(lattice.order & progression.rel, _function_row(lattice, f))
 
 
-def is_compatible(
-    lattice: FiniteLattice, progression: LatticeProgression, f: Sequence[int]
-) -> bool:
+def is_compatible(progression: LatticeProgression, f: Sequence[int]) -> bool:
     """f(s(x)) below s(f(x)) for every x, with s the join-of-pre-image map.
 
     The notion is meant for monotone f; this checks just the pointwise
     inequality and leaves monotonicity to the caller.
     """
-    _same_lattice(lattice, progression)
+    lattice = progression.lattice
     return _compatible(lattice, progression.s_vector, _function_row(lattice, f))
 
 
@@ -420,9 +402,7 @@ def _preserving(lattice: FiniteLattice, rel: Relation) -> list[tuple[int, ...]]:
     return funcs
 
 
-def brute_force_largest(
-    lattice: FiniteLattice, progression: LatticeProgression, mode: str
-) -> tuple[int, ...]:
+def brute_force_largest(progression: LatticeProgression, mode: str) -> tuple[int, ...]:
     """Pointwise join of every surviving endofunction, by enumeration.
 
     mode "r_monotone" keeps functions monotone with respect to the order
@@ -432,8 +412,7 @@ def brute_force_largest(
     """
     if mode not in ("r_monotone", "compatible"):
         raise ValueError(f"unknown mode {mode!r}")
-    _same_lattice(lattice, progression)
-    r_monotone, s = mode == "r_monotone", progression.s_vector
+    lattice, r_monotone, s = progression.lattice, mode == "r_monotone", progression.s_vector
     rel = lattice.order & progression.rel if r_monotone else lattice.order
     kept = [f for f in _preserving(lattice, rel) if r_monotone or _compatible(lattice, s, f)]
     best = tuple(lattice.join_all(set(col)) for col in zip(*kept))
@@ -456,14 +435,12 @@ class MonotoneClassification(NamedTuple):
     example_compatible_not_r_monotone: Optional[tuple[int, ...]]
 
 
-def classify_monotone_functions(
-    lattice: FiniteLattice, progression: LatticeProgression
-) -> MonotoneClassification:
+def classify_monotone_functions(progression: LatticeProgression) -> MonotoneClassification:
     """Count, among monotone functions, how r-monotonicity and compatibility overlap.
 
     Each example is the first such function in itertools.product order.
     """
-    _same_lattice(lattice, progression)
+    lattice = progression.lattice
     funcs = _preserving(lattice, lattice.order)
     rel, s = lattice.order & progression.rel, progression.s_vector
     rm = [f for f in funcs if _preserves(rel, f)]

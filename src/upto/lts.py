@@ -50,7 +50,21 @@ MAX_STATES = 10**6
 MAX_LATTICE_ELEMENTS = 1000
 
 
-class Lts:
+class Immutable:
+    """A base for slotted classes whose instances refuse both assignment
+    and deletion of attributes; constructors and caches fill the slots
+    through ``object.__setattr__`` or the slot descriptors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Lts(Immutable):
     """An immutable finite LTS: named states, label texts, one successor table.
 
     ``_succ[p][a]`` is the sorted tuple of p's targets under label index a, one
@@ -93,9 +107,6 @@ class Lts:
         for name, value in zip(self.__slots__, (n, names, labels, tuple(map(tuple, rows)), None)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Lts is immutable")
-
     def successors(self, state: int, label_index: int) -> tuple[int, ...]:
         return self._succ[state][label_index]
 
@@ -133,7 +144,7 @@ class Lts:
         return f"Lts(states={self.n_states}, labels={len(self.labels)}, transitions={self.n_transitions})"
 
 
-class Relation:
+class Relation(Immutable):
     """A binary relation on n points (the states of an LTS, or the elements
     of a lattice), stored as row bitsets.
 
@@ -153,9 +164,6 @@ class Relation:
         raise TypeError(
             "build a Relation with Relation.from_pairs, from_blocks, empty, full or identity"
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Relation is immutable")
 
     # construction
 
@@ -353,10 +361,12 @@ class Relation:
 class _Unfrozen(Relation):
     """Relation's layout without its guard against assignment.  _from_rows
     fills one in with plain attribute stores, about a tenth of the cost of
-    calling each slot's setter, and then makes it a Relation."""
+    calling each slot's setter, and then makes it a Relation.  Stores take
+    that fast path only when neither ``__setattr__`` nor ``__delattr__`` is
+    written in Python, so both are object's."""
 
     __slots__ = ()
-    __setattr__ = object.__setattr__
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
 
 
 # The setters of the slots that cache, which bypass Relation.__setattr__.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 
-from .lts import Lts, Relation
+from .lts import Immutable, Lts, Relation
 
 
 def _validate_tree(final: list[int], parent: list[int], born: list[int], epsilon: int) -> None:
@@ -53,7 +53,7 @@ def _validate_tree(final: list[int], parent: list[int], born: list[int], epsilon
         raise ValueError(f"stratum {k} must be strictly below stratum {k - 1}")
 
 
-class StrataSequence:
+class StrataSequence(Immutable):
     """The chain of strata for one LTS, indices 0..epsilon inclusive.
 
     Stored as the refinement tree of its blocks: block 0 is the root, born in
@@ -75,9 +75,6 @@ class StrataSequence:
         values = (lts, epsilon, final, parent, born, [None] * (epsilon + 1))
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrataSequence is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, StrataSequence):

@@ -134,7 +134,7 @@ class _Suite:
         # each system's catalog with lrf appended, keyed by the identity of
         # its chain, so the catalog's remembered images serve every check
         self.functions = {
-            id(seq): catalog(lts, seq) + [lrf_function(seq)] for lts, seq in self.systems
+            id(seq): catalog(seq) + [lrf_function(seq)] for _lts, seq in self.systems
         }
 
         lattices: list[tuple[str, FiniteLattice]] = [
@@ -305,7 +305,7 @@ def _proof_soundness(suite: _Suite, rng: random.Random):
         lts, seq = _pick(rng, suite.systems)
         f = _pick(rng, suite.functions[id(seq)])
         r = random_relation(rng, lts.n_states)
-        report = check_upto(lts, r, f, seq=seq)
+        report = check_upto(seq, r, f)
         ok = report.conclusion != CONTAINED or (
             report.cross_check and r.is_subset(seq.bisimilarity())
         )
@@ -317,7 +317,7 @@ def _proof_maximality(suite: _Suite, rng: random.Random):
         lts, seq = _pick(rng, suite.systems)
         r = random_relation(rng, lts.n_states)
         *functions, lrf_fn = suite.functions[id(seq)]
-        proves = lambda f: check_upto(lts, r, f, seq=seq).conclusion == CONTAINED
+        proves = lambda f: check_upto(seq, r, f).conclusion == CONTAINED
         ok = not any(map(proves, functions)) or proves(lrf_fn)
         yield 1, None if ok else f"a catalog function succeeded but lrf failed on {lts!r}"
 
@@ -337,7 +337,7 @@ def _gallery_consecutive_distinct(suite: _Suite, rng: random.Random):
 
 def _chain_decreasing(suite: _Suite, rng: random.Random):
     for name, lat, prog in suite.progressions:
-        zs = z_chain(lat, prog).zs
+        zs = z_chain(prog).zs
         for k in range(len(zs) - 1):
             ok = lat.le(zs[k + 1], zs[k]) and zs[k + 1] != zs[k]
             yield 1, None if ok else f"on {name}"
@@ -345,15 +345,15 @@ def _chain_decreasing(suite: _Suite, rng: random.Random):
 
 def _chain_step_related(suite: _Suite, rng: random.Random):
     for name, lat, prog in suite.progressions:
-        zs = z_chain(lat, prog).zs
+        zs = z_chain(prog).zs
         for nxt, cur in [*zip(zs[1:], zs[:-1]), (zs[-1], zs[-1])]:
             yield 1, None if (nxt, cur) in prog.rel else f"on {name}"
 
 
 def _companion_monotone(suite: _Suite, rng: random.Random):
     for name, lat, prog in suite.progressions:
-        chain = z_chain(lat, prog)
-        comp = [companion_at(lat, prog, chain, x) for x in range(lat.size)]
+        chain = z_chain(prog)
+        comp = [companion_at(lat, chain, x) for x in range(lat.size)]
         for x in range(lat.size):
             for y in range(lat.size):
                 if lat.le(x, y):
@@ -362,22 +362,18 @@ def _companion_monotone(suite: _Suite, rng: random.Random):
 
 def _companion_in_classes(suite: _Suite, rng: random.Random):
     for name, lat, prog in suite.progressions:
-        chain = z_chain(lat, prog)
-        comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
-        ok = (
-            is_r_monotone(lat, prog, comp)
-            and is_monotone(lat, comp)
-            and is_compatible(lat, prog, comp)
-        )
+        chain = z_chain(prog)
+        comp = tuple(companion_at(lat, chain, x) for x in range(lat.size))
+        ok = is_r_monotone(prog, comp) and is_monotone(lat, comp) and is_compatible(prog, comp)
         yield 1, None if ok else f"on {name}"
 
 
 def _largest_coincidence(suite: _Suite, rng: random.Random):
     for name, lat, prog in suite.progressions:
-        chain = z_chain(lat, prog)
-        comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
+        chain = z_chain(prog)
+        comp = tuple(companion_at(lat, chain, x) for x in range(lat.size))
         for cases, mode in ((1, "r_monotone"), (0, "compatible")):
-            ok = brute_force_largest(lat, prog, mode) == comp
+            ok = brute_force_largest(prog, mode) == comp
             yield cases, None if ok else f"{mode} mode on {name}"
 
 
@@ -450,7 +446,7 @@ def _monotone_classes(suite: _Suite) -> str:
     # report-only: how r-monotonicity and compatibility overlap for
     # monotone functions; no expectation is asserted either way
     classes = [
-        classify_monotone_functions(lat, prog)
+        classify_monotone_functions(prog)
         for _name, lat, prog in suite.progressions
         if lat.size <= 4
     ]

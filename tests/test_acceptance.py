@@ -134,7 +134,7 @@ def test_criterion_4_lrf_dominates_catalog():
             lts = random_lts(rng, rng.randint(1, 5), rng.randint(1, 2), rng.uniform(0.15, 0.6))
             seq = compute_strata(lts)
             rs = [random_relation(rng, lts.n_states) for _ in range(1000)]
-            functions = catalog(lts, seq)
+            functions = catalog(seq)
             verdict = check_lrf_largest(seq, functions, rs)
             assert verdict.holds, verdict.counterexample
             assert verdict.samples_checked == 1000 * len(functions)
@@ -193,10 +193,10 @@ def test_criterion_7_lattice_companion_coincidence():
         for lat in suite:
             for _ in range(20):
                 prog = random_lattice_progression(rng, lat, rng.uniform(0.05, 0.4))
-                chain = z_chain(lat, prog)
-                comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
-                assert brute_force_largest(lat, prog, "r_monotone") == comp
-                assert brute_force_largest(lat, prog, "compatible") == comp
+                chain = z_chain(prog)
+                comp = tuple(companion_at(lat, chain, x) for x in range(lat.size))
+                assert brute_force_largest(prog, "r_monotone") == comp
+                assert brute_force_largest(prog, "compatible") == comp
         assert time.monotonic() - start < 60.0
 
 
@@ -214,11 +214,11 @@ def test_criterion_8_bridge_recovers_relation_results():
         for lts in suite:
             n = lts.n_states
             lat, prog = lts_to_lattice(lts)
-            chain = z_chain(lat, prog)
+            chain = z_chain(prog)
             seq = compute_strata(lts)
             for mask in range(lat.size):
                 r = element_relation(n, mask)
-                assert companion_at(lat, prog, chain, mask) == relation_element_index(
+                assert companion_at(lat, chain, mask) == relation_element_index(
                     lrf(seq, r)
                 )
                 assert prog.s_vector[mask] == relation_element_index(
@@ -233,13 +233,13 @@ def test_criterion_9_end_to_end_proof_demo():
     with criterion(9, "checker accepts loop~cycle, rejects deadlock~loop"):
         loop_cycle = Lts(["p", "q1", "q2"], [(0, "a", 0), (1, "a", 2), (2, "a", 1)])
         seq = compute_strata(loop_cycle)
-        good = check_upto(loop_cycle, Relation.from_pairs(3, [(0, 1)]), lrf_function(seq), seq=seq)
+        good = check_upto(seq, Relation.from_pairs(3, [(0, 1)]), lrf_function(seq))
         assert good.conclusion == CONTAINED
         assert good.progression_holds and good.cross_check
 
         dead_loop = Lts(["d", "l"], [(1, "a", 1)])
         seq = compute_strata(dead_loop)
-        bad = check_upto(dead_loop, Relation.from_pairs(2, [(0, 1)]), lrf_function(seq), seq=seq)
+        bad = check_upto(seq, Relation.from_pairs(2, [(0, 1)]), lrf_function(seq))
         assert bad.conclusion == INCONCLUSIVE
         assert not bad.progression_holds and not bad.cross_check
 

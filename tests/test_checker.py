@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -20,7 +21,7 @@ class TestCheckUpto:
     def test_accepts_loop_vs_cycle(self, loop_vs_cycle):
         seq = compute_strata(loop_vs_cycle)
         r = Relation.from_pairs(3, [(0, 1)])
-        report = check_upto(loop_vs_cycle, r, lrf_function(seq), "loop~cycle", seq=seq)
+        report = check_upto(seq, r, lrf_function(seq), "loop~cycle")
         assert report.progression_holds
         assert report.conclusion == CONTAINED
         assert report.cross_check
@@ -30,7 +31,7 @@ class TestCheckUpto:
     def test_rejects_deadlock_vs_loop(self, deadlock_vs_loop):
         seq = compute_strata(deadlock_vs_loop)
         r = Relation.from_pairs(2, [(0, 1)])
-        report = check_upto(deadlock_vs_loop, r, lrf_function(seq), seq=seq)
+        report = check_upto(seq, r, lrf_function(seq))
         assert not report.progression_holds
         assert report.conclusion == INCONCLUSIVE
         assert not report.cross_check
@@ -40,8 +41,8 @@ class TestCheckUpto:
 
     def test_empty_relation_accepted_by_any_trusted_function(self, t2):
         seq = compute_strata(t2)
-        for f in catalog(t2, seq) + [lrf_function(seq)]:
-            report = check_upto(t2, Relation.empty(3), f, seq=seq)
+        for f in catalog(seq) + [lrf_function(seq)]:
+            report = check_upto(seq, Relation.empty(3), f)
             assert report.progression_holds
             assert report.conclusion == CONTAINED
             assert report.cross_check
@@ -50,42 +51,40 @@ class TestCheckUpto:
         seq = compute_strata(loop_vs_cycle)
         f = UpToFunction("homemade", loop_vs_cycle, lambda r: Relation.full(3))
         r = Relation.from_pairs(3, [(0, 1)])
-        report = check_upto(loop_vs_cycle, r, f, seq=seq)
+        report = check_upto(seq, r, f)
         assert report.progression_holds  # progression itself is fine
         assert report.conclusion == INCONCLUSIVE
         assert report.cross_check  # the relation really is sound here
 
     def test_strata_chain_is_required(self, t2):
-        # the caller's chain is the only one: none is computed on the side
+        # the caller's chain is the only one: none is computed on the side;
+        # the relation stays the second argument
         seq = compute_strata(t2)
         r = Relation.from_pairs(3, [(1, 2)])
-        with pytest.raises(TypeError, match="seq"):
-            check_upto(t2, r, lrf_function(seq))
-        with pytest.raises(TypeError):
-            check_upto(t2, r, lrf_function(seq), "R", seq)
+        with pytest.raises(TypeError, match="'f'"):
+            check_upto(r, lrf_function(seq))
+        params = inspect.signature(check_upto).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("seq", inspect.Parameter.empty),
+            ("r", inspect.Parameter.empty),
+            ("f", inspect.Parameter.empty),
+            ("relation_name", "R"),
+        ]
 
-    def test_strata_of_another_system_rejected(self, two_selfloops):
+    def test_function_of_another_system_rejected(self, two_selfloops):
         # (0,1) is bisimilar in two_selfloops, not in one_loop
         one_loop = Lts(["0", "1"], [(0, "a", 0)])
         r = Relation.from_pairs(2, [(0, 1)])
-        f = lrf_function(compute_strata(one_loop))
-        with pytest.raises(ValueError, match="strata sequence"):
-            check_upto(one_loop, r, f, seq=compute_strata(two_selfloops))
-
-    def test_function_of_another_system_rejected(self, two_selfloops):
-        one_loop = Lts(["0", "1"], [(0, "a", 0)])
-        r = Relation.from_pairs(2, [(0, 1)])
-        other = lrf_function(compute_strata(two_selfloops))
-        with pytest.raises(ValueError, match="different LTS"):
-            check_upto(one_loop, r, other, seq=compute_strata(one_loop))
-        seq = compute_strata(two_selfloops)
-        with pytest.raises(ValueError, match="different LTS"):
-            check_upto(one_loop, r, lrf_function(seq), seq=seq)
+        seq, other = compute_strata(one_loop), compute_strata(two_selfloops)
+        for f in (lrf_function(other), catalog(other)[0]):
+            message = f"^up-to function '{f.name}' was built for a different LTS$"
+            with pytest.raises(ValueError, match=message):
+                check_upto(seq, r, f)
 
     def test_equal_system_accepted(self, two_selfloops):
         copy = Lts(["u", "v"], [(0, "a", 0), (1, "a", 1)])
-        seq = compute_strata(two_selfloops)
-        report = check_upto(copy, Relation.from_pairs(2, [(0, 1)]), lrf_function(seq), seq=seq)
+        f = lrf_function(compute_strata(two_selfloops))
+        report = check_upto(compute_strata(copy), Relation.from_pairs(2, [(0, 1)]), f)
         assert report.conclusion == CONTAINED and report.cross_check
 
 
@@ -94,11 +93,11 @@ class TestCheckerProperties:
         rng = random.Random(31)
         for lts in random_lts_pool(rng, 15):
             seq = compute_strata(lts)
-            functions = catalog(lts, seq) + [lrf_function(seq)]
+            functions = catalog(seq) + [lrf_function(seq)]
             for _ in range(10):
                 r = random_relation(rng, lts.n_states)
                 f = functions[rng.randrange(len(functions))]
-                report = check_upto(lts, r, f, seq=seq)
+                report = check_upto(seq, r, f)
                 if report.conclusion == CONTAINED:
                     assert report.cross_check
                     assert r.is_subset(seq.bisimilarity())
@@ -110,9 +109,9 @@ class TestCheckerProperties:
             for _ in range(8):
                 r = random_relation(rng, lts.n_states)
                 catalog_success = any(
-                    check_upto(lts, r, f, seq=seq).conclusion == CONTAINED
-                    for f in catalog(lts, seq)
+                    check_upto(seq, r, f).conclusion == CONTAINED
+                    for f in catalog(seq)
                 )
                 if catalog_success:
-                    report = check_upto(lts, r, lrf_function(seq), seq=seq)
+                    report = check_upto(seq, r, lrf_function(seq))
                     assert report.conclusion == CONTAINED

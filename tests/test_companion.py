@@ -120,33 +120,29 @@ class TestRespectfulnessChecks:
 
 class TestCatalog:
     def test_shape_and_names(self, t2, t2_seq):
-        fns = catalog(t2, t2_seq)
+        fns = catalog(t2_seq)
         names = [f.name for f in fns]
         assert len(names) == len(set(names)) == 26
         assert names[:4] == ["identity", "const_bisim", "upto_bisim", "union_bisim"]
         assert all(f.trusted for f in fns)
 
     def test_upto_bisim_on_empty(self, t2, t2_seq):
-        upto_bisim = catalog(t2, t2_seq)[2]
+        upto_bisim = catalog(t2_seq)[2]
         assert upto_bisim(Relation.empty(3)) == Relation.empty(3)
 
     def test_upto_bisim_on_identity_gives_bisimilarity(self, loop_vs_cycle, t2, t2_seq):
         seq = compute_strata(loop_vs_cycle)
-        upto_bisim = catalog(loop_vs_cycle, seq)[2]
+        upto_bisim = catalog(seq)[2]
         assert upto_bisim(Relation.identity(3)) == seq.bisimilarity()
         # also on T_2, where bisimilarity is just the identity
-        assert catalog(t2, t2_seq)[2](Relation.identity(3)) == t2_seq.bisimilarity()
+        assert catalog(t2_seq)[2](Relation.identity(3)) == t2_seq.bisimilarity()
 
     def test_union_bisim_extends_input(self, t2, t2_seq):
-        union_bisim = catalog(t2, t2_seq)[3]
+        union_bisim = catalog(t2_seq)[3]
         rng = random.Random(5)
         for _ in range(50):
             r = random_relation(rng, 3)
             assert r.is_subset(union_bisim(r))
-
-    def test_wrong_lts_rejected(self, t2, deadlock_vs_loop):
-        with pytest.raises(ValueError):
-            catalog(deadlock_vs_loop, compute_strata(t2))
 
     def test_bisimilarity_is_built_only_when_a_function_needs_it(self):
         # on a path, 0 and 1 split in the last round, so lrf of the pair is
@@ -155,8 +151,8 @@ class TestCatalog:
         path = Lts([str(p) for p in range(n)], [(p, "a", p + 1) for p in range(n - 1)])
         seq, pair = compute_strata(path), Relation.from_pairs(n, [(0, 1)])
         assert seq.depth(pair) == seq.epsilon - 1
-        fns = {f.name: f for f in catalog(path, seq)}
-        report = check_upto(path, pair, lrf_function(seq), seq=seq)
+        fns = {f.name: f for f in catalog(seq)}
+        report = check_upto(seq, pair, lrf_function(seq))
         assert not report.progression_holds and not report.cross_check
         assert seq._relations[seq.epsilon] is None
         assert fns["const_bisim"](pair) is seq.bisimilarity()
@@ -168,12 +164,12 @@ class TestCatalog:
         rng = random.Random(21)
         for lts in random_lts_pool(rng, 12):
             seq = compute_strata(lts)
-            bisim, kept = seq.bisimilarity(), catalog(lts, seq)
+            bisim, kept = seq.bisimilarity(), catalog(seq)
             for _ in range(15):
                 r = random_relation(rng, lts.n_states)
                 twin = Relation.from_pairs(lts.n_states, list(r.pairs))
                 assert twin == r and twin is not r
-                for f, fresh in zip(kept, catalog(lts, seq)):
+                for f, fresh in zip(kept, catalog(seq)):
                     assert f(r) == fresh(r) == f(twin), f.name
                 assert kept[2](r) == bisim.compose(r).compose(bisim)
                 assert kept[3](r) == r | bisim
@@ -181,14 +177,14 @@ class TestCatalog:
     def test_images_stay_right_past_the_memo_bound(self):
         lts = random_lts_pool(random.Random(22), 1, max_states=5)[0]
         seq = compute_strata(lts)
-        bisim, upto_bisim = seq.bisimilarity(), catalog(lts, seq)[2]
+        bisim, upto_bisim = seq.bisimilarity(), catalog(seq)[2]
         rng = random.Random(23)
         rs = [random_relation(rng, lts.n_states) for _ in range(3 * CATALOG_MEMO)]
         for r in rs + rs[::-1]:
             assert upto_bisim(r) == bisim.compose(r).compose(bisim)
 
     def test_memo_keeps_the_state_count_check(self, t2, t2_seq):
-        fns = {f.name: f for f in catalog(t2, t2_seq)}
+        fns = {f.name: f for f in catalog(t2_seq)}
         for name in ("upto_bisim", "union_bisim", "compose(upto_bisim,union_bisim)"):
             with pytest.raises(ValueError, match="different state counts"):
                 fns[name](Relation.identity(4))
@@ -198,14 +194,14 @@ class TestLrfLargest:
     def test_identity_and_const(self, t2, t2_seq):
         rng = random.Random(9)
         rs = [random_relation(rng, 3) for _ in range(100)]
-        fns = {f.name: f for f in catalog(t2, t2_seq)}
+        fns = {f.name: f for f in catalog(t2_seq)}
         verdict = check_lrf_largest(t2_seq, [fns["identity"], fns["const_bisim"]], rs)
         assert verdict.holds
         assert verdict.samples_checked == 2 * len(rs)
 
     def test_upto_bisim_single_pair_example(self, t2, t2_seq):
         r = Relation.from_pairs(3, [(1, 2)])
-        upto_bisim = catalog(t2, t2_seq)[2]
+        upto_bisim = catalog(t2_seq)[2]
         assert upto_bisim(r) == r  # bisimilarity is the identity here
         assert upto_bisim(r).is_subset(lrf(t2_seq, r))
 
@@ -219,7 +215,7 @@ class TestLrfLargest:
 
     def test_stops_at_the_first_violation(self, t2, t2_seq):
         # functions outside, relations inside: the count names the failing pair
-        identity = catalog(t2, t2_seq)[0]
+        identity = catalog(t2_seq)[0]
         blowup = UpToFunction("blowup", t2, lambda r: Relation.full(3))
         rs = [Relation.full(3), Relation.full(3), Relation.from_pairs(3, [(1, 2)]), Relation.empty(3)]
         verdict = check_lrf_largest(t2_seq, [identity, blowup, identity], rs)
@@ -227,6 +223,20 @@ class TestLrfLargest:
         assert verdict.samples_checked == len(rs) + 3
         assert verdict.counterexample.r == rs[2]
         assert verdict.counterexample.bound == lrf(t2_seq, rs[2])
+
+    def test_function_of_another_system_rejected(self, two_selfloops):
+        # the catalog of two_selfloops relates 0 and 1, which one_loop's chain
+        # splits: the rule of check_upto, not a failed dominance
+        one_loop = compute_strata(Lts(["0", "1"], [(0, "a", 0)]))
+        functions = catalog(compute_strata(two_selfloops))
+        message = "up-to function 'identity' was built for a different LTS"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_lrf_largest(one_loop, functions, [Relation.empty(2)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_upto(one_loop, Relation.empty(2), functions[0])
+        # a copy of the system is the same system
+        copy = compute_strata(Lts(["u", "v"], [(0, "a", 0), (1, "a", 1)]))
+        assert check_lrf_largest(copy, functions, [Relation.full(2)]).holds
 
     def test_computes_each_bound_once(self, t2, t2_seq, monkeypatch):
         calls = []
@@ -238,7 +248,7 @@ class TestLrfLargest:
         monkeypatch.setattr("upto.companion.lrf", counted)
         rng = random.Random(3)
         rs = [random_relation(rng, 3) for _ in range(10)]
-        functions = catalog(t2, t2_seq)
+        functions = catalog(t2_seq)
         verdict = check_lrf_largest(t2_seq, functions, rs)
         assert verdict.holds and verdict.samples_checked == len(functions) * len(rs)
         assert calls == rs
@@ -249,7 +259,7 @@ class TestLrfLargest:
         seq = compute_strata(lts)
         rng = random.Random(13)
         rs = [random_relation(rng, lts.n_states) for _ in range(20)]
-        assert check_lrf_largest(seq, catalog(lts, seq), rs).holds
+        assert check_lrf_largest(seq, catalog(seq), rs).holds
 
 
 class TestLrfProperties:

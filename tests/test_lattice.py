@@ -171,26 +171,11 @@ class TestStorage:
 
 
 class TestProgressionOnAnotherLattice:
-    def test_rejected_by_every_function_taking_both(self):
-        diamond, chain4 = diamond_lattice(), chain_lattice(4)
-        prog = LatticeProgression(diamond, diamond.order)
-        chain = z_chain(diamond, prog)
-        ident = tuple(range(4))
-        for call in (
-            lambda: z_chain(chain4, prog),
-            lambda: companion_at(chain4, prog, chain, 0),
-            lambda: is_r_monotone(chain4, prog, ident),
-            lambda: is_compatible(chain4, prog, ident),
-            lambda: brute_force_largest(chain4, prog, "r_monotone"),
-            lambda: brute_force_largest(chain4, prog, "compatible"),
-            lambda: classify_monotone_functions(chain4, prog),
-        ):
-            with pytest.raises(ValueError, match="different lattice"):
-                call()
-
     def test_equal_lattice_built_again_accepted(self):
         prog = leq_progression(chain_lattice(4))
-        assert z_chain(chain_lattice(4), prog).zs == (3,)
+        chain = z_chain(prog)
+        assert chain.zs == (3,)
+        assert [companion_at(chain_lattice(4), chain, x) for x in range(4)] == [3, 3, 3, 3]
 
 
 class TestRelationOfAnotherSize:
@@ -292,13 +277,13 @@ class TestCloseToProgression:
 class TestChainAndCompanion:
     def test_full_progression_chain_is_top_only(self):
         lat = diamond_lattice()
-        chain = z_chain(lat, LatticeProgression(lat, Relation.full(4)))
+        chain = z_chain(LatticeProgression(lat, Relation.full(4)))
         assert chain.zs == (lat.top,)
         assert chain.stable_index == 0
 
     def test_order_progression_chain_is_top_only(self):
         lat = chain_lattice(4)
-        chain = z_chain(lat, leq_progression(lat))
+        chain = z_chain(leq_progression(lat))
         assert chain.zs == (lat.top,)
 
     def test_companion_at_top_and_bottom(self):
@@ -306,16 +291,16 @@ class TestChainAndCompanion:
         for lat in (chain_lattice(3), diamond_lattice(), pentagon_lattice()):
             for _ in range(10):
                 prog = random_lattice_progression(rng, lat)
-                chain = z_chain(lat, prog)
-                assert companion_at(lat, prog, chain, lat.bottom) == chain.zs[-1]
-                assert companion_at(lat, prog, chain, lat.top) == lat.top
+                chain = z_chain(prog)
+                assert companion_at(lat, chain, lat.bottom) == chain.zs[-1]
+                assert companion_at(lat, chain, lat.top) == lat.top
 
     def test_chain_decreasing_and_steps_related(self):
         rng = random.Random(44)
         for lat in (chain_lattice(4), diamond_lattice(), m3_lattice()):
             for _ in range(10):
                 prog = random_lattice_progression(rng, lat)
-                chain = z_chain(lat, prog)
+                chain = z_chain(prog)
                 for k in range(chain.stable_index):
                     assert lat.le(chain.zs[k + 1], chain.zs[k])
                     assert chain.zs[k + 1] != chain.zs[k]
@@ -327,10 +312,10 @@ class TestChainAndCompanion:
         lat = powerset_lattice(2)
         for _ in range(15):
             prog = random_lattice_progression(rng, lat)
-            chain = z_chain(lat, prog)
+            chain = z_chain(prog)
             for x in range(lat.size):
                 containing = [z for z in chain.zs if lat.le(x, z)]
-                assert companion_at(lat, prog, chain, x) == containing[-1]
+                assert companion_at(lat, chain, x) == containing[-1]
 
 
 def seeded_lts(n):
@@ -387,9 +372,9 @@ class TestFunctionClasses:
             ident = tuple(range(lat.size))
             for _ in range(10):
                 prog = random_lattice_progression(rng, lat)
-                assert is_r_monotone(lat, prog, ident)
+                assert is_r_monotone(prog, ident)
                 assert is_monotone(lat, ident)
-                assert is_compatible(lat, prog, ident)
+                assert is_compatible(prog, ident)
 
     def test_constant_bottom_in_both_classes(self):
         rng = random.Random(52)
@@ -397,8 +382,8 @@ class TestFunctionClasses:
         const_bot = tuple([lat.bottom] * lat.size)
         for _ in range(10):
             prog = random_lattice_progression(rng, lat)
-            assert is_r_monotone(lat, prog, const_bot)
-            assert is_compatible(lat, prog, const_bot)
+            assert is_r_monotone(prog, const_bot)
+            assert is_compatible(prog, const_bot)
 
     def test_constant_top_compatible_iff_s_fixes_top(self):
         rng = random.Random(53)
@@ -407,18 +392,18 @@ class TestFunctionClasses:
         for _ in range(20):
             prog = random_lattice_progression(rng, lat)
             expected = prog.s_vector[lat.top] == lat.top
-            assert is_compatible(lat, prog, const_top) == expected
+            assert is_compatible(prog, const_top) == expected
 
     def test_classification_is_report_only_but_consistent(self):
         rng = random.Random(54)
         lat = chain_lattice(3)
         prog = random_lattice_progression(rng, lat)
-        c = classify_monotone_functions(lat, prog)
+        c = classify_monotone_functions(prog)
         assert c.n_r_monotone_among_monotone <= c.n_monotone
         assert c.n_compatible <= c.n_monotone
         if c.n_r_monotone_not_compatible:
             f = c.example_r_monotone_not_compatible
-            assert is_r_monotone(lat, prog, f) and not is_compatible(lat, prog, f)
+            assert is_r_monotone(prog, f) and not is_compatible(prog, f)
 
 
 class TestFunctionArgument:
@@ -429,8 +414,8 @@ class TestFunctionArgument:
         prog = leq_progression(lat)
         for check in (
             lambda: is_monotone(lat, f),
-            lambda: is_r_monotone(lat, prog, f),
-            lambda: is_compatible(lat, prog, f),
+            lambda: is_r_monotone(prog, f),
+            lambda: is_compatible(prog, f),
         ):
             with pytest.raises(ValueError):
                 check()
@@ -440,8 +425,8 @@ class TestFunctionArgument:
         prog = leq_progression(lat)
         ident = np.arange(lat.size)
         assert is_monotone(lat, ident)
-        assert is_r_monotone(lat, prog, ident)
-        assert is_compatible(lat, prog, ident)
+        assert is_r_monotone(prog, ident)
+        assert is_compatible(prog, ident)
 
 
 class TestBatchedEnumerationMatchesWalk:
@@ -464,8 +449,8 @@ class TestBatchedEnumerationMatchesWalk:
         for _ in range(budget):
             prog = random_lattice_progression(rng, lat, rng.uniform(0.05, 0.4))
             for mode in ("r_monotone", "compatible"):
-                assert brute_force_largest(lat, prog, mode) == enumerated_largest(lat, prog, mode)
-            got = classify_monotone_functions(lat, prog)
+                assert brute_force_largest(prog, mode) == enumerated_largest(lat, prog, mode)
+            got = classify_monotone_functions(prog)
             assert got == enumerated_classification(lat, prog)
             for example in (
                 got.example_r_monotone_not_compatible,
@@ -482,7 +467,7 @@ class TestBatchedEnumerationMatchesWalk:
         for _name, lat in STANDARD_LATTICES[:6]:
             for _ in range(6):
                 prog = random_lattice_progression(rng, lat, rng.uniform(0.05, 0.4))
-                got = classify_monotone_functions(lat, prog)
+                got = classify_monotone_functions(prog)
                 assert got == enumerated_classification(lat, prog)
                 examples += got.example_r_monotone_not_compatible is not None
         assert examples > 0
@@ -492,26 +477,26 @@ class TestBruteForce:
     def test_two_chain_order_progression(self):
         lat = chain_lattice(2)
         prog = leq_progression(lat)
-        assert brute_force_largest(lat, prog, "r_monotone") == (1, 1)
-        assert brute_force_largest(lat, prog, "compatible") == (1, 1)
+        assert brute_force_largest(prog, "r_monotone") == (1, 1)
+        assert brute_force_largest(prog, "compatible") == (1, 1)
 
     def test_full_progression_gives_constant_top(self):
         for lat in (chain_lattice(3), diamond_lattice()):
             m = lat.size
             prog = LatticeProgression(lat, Relation.full(m))
             const_top = tuple([lat.top] * m)
-            assert brute_force_largest(lat, prog, "r_monotone") == const_top
-            assert brute_force_largest(lat, prog, "compatible") == const_top
+            assert brute_force_largest(prog, "r_monotone") == const_top
+            assert brute_force_largest(prog, "compatible") == const_top
 
     def test_unknown_mode_rejected(self):
         lat = chain_lattice(2)
         with pytest.raises(ValueError):
-            brute_force_largest(lat, leq_progression(lat), "bogus")
+            brute_force_largest(leq_progression(lat), "bogus")
 
     def test_size_cap(self):
         lat = chain_lattice(6)
         with pytest.raises(ValueError):
-            brute_force_largest(lat, leq_progression(lat), "r_monotone")
+            brute_force_largest(leq_progression(lat), "r_monotone")
 
     def test_coincides_with_companion_on_sampled_progressions(self):
         rng = random.Random(61)
@@ -528,12 +513,12 @@ class TestBruteForce:
             budget = 8 if lat.size <= 4 else 4
             for _ in range(budget):
                 prog = random_lattice_progression(rng, lat)
-                chain = z_chain(lat, prog)
-                comp = tuple(companion_at(lat, prog, chain, x) for x in range(lat.size))
-                assert brute_force_largest(lat, prog, "r_monotone") == comp
-                assert brute_force_largest(lat, prog, "compatible") == comp
-                assert is_r_monotone(lat, prog, comp)
-                assert is_monotone(lat, comp) and is_compatible(lat, prog, comp)
+                chain = z_chain(prog)
+                comp = tuple(companion_at(lat, chain, x) for x in range(lat.size))
+                assert brute_force_largest(prog, "r_monotone") == comp
+                assert brute_force_largest(prog, "compatible") == comp
+                assert is_r_monotone(prog, comp)
+                assert is_monotone(lat, comp) and is_compatible(prog, comp)
 
 
 class TestBridge:
@@ -550,7 +535,7 @@ class TestBridge:
 
     def test_two_state_chain_mirrors_strata(self, deadlock_vs_loop):
         lat, prog = lts_to_lattice(deadlock_vs_loop)
-        chain = z_chain(lat, prog)
+        chain = z_chain(prog)
         seq = compute_strata(deadlock_vs_loop)
         assert chain.stable_index == seq.epsilon
         for k, z in enumerate(chain.zs):
@@ -569,14 +554,14 @@ class TestBridge:
 
     def test_t2_companion_and_s_agree_with_relation_route(self, t2):
         lat, prog = lts_to_lattice(t2)
-        chain = z_chain(lat, prog)
+        chain = z_chain(prog)
         seq = compute_strata(t2)
         for k in range(seq.epsilon + 2):
             z = chain.zs[min(k, chain.stable_index)]
             assert z == relation_element_index(seq.stratum(k))
         for mask in range(512):
             r = element_relation(3, mask)
-            assert companion_at(lat, prog, chain, mask) == relation_element_index(
+            assert companion_at(lat, chain, mask) == relation_element_index(
                 lrf(seq, r)
             )
             assert prog.s_vector[mask] == relation_element_index(

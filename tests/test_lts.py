@@ -583,12 +583,12 @@ class TestBlockSignatures:
         seq = compute_strata(lts)
         bisim = seq.bisimilarity()
         matching = Relation.from_pairs(65, bisim.pairs[::3])
-        assert check_upto(lts, matching, lrf_function(seq), seq=seq).progression_holds
+        assert check_upto(seq, matching, lrf_function(seq)).progression_holds
         assert lts._succ_bits is None
         # a pair outside bisimilarity does not progress to its lrf image
         p, q = next((p, q) for p in range(65) for q in range(65) if (p, q) not in bisim)
         failing = matching | Relation.from_pairs(65, [(p, q)])
-        report = check_upto(lts, failing, lrf_function(seq), seq=seq)
+        report = check_upto(seq, failing, lrf_function(seq))
         assert {v.pair for v in report.diagnosis.violations} == {(p, q)}
         assert lts._succ_bits is not None
 

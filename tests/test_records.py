@@ -102,6 +102,32 @@ class TestNamedTuples:
             assert "dataclass" not in path.read_text(), path.name
 
 
+# a fresh instance of each immutable class, by its name, and one attribute of it
+IMMUTABLE = {
+    "Lts": (lambda: Lts(["0", "1"], [(1, "a", 0)]), "labels"),
+    "Relation": (lambda: Relation.identity(2), "row_bits"),
+    "StrataSequence": (lambda: compute_strata(LTS), "epsilon"),
+    "FiniteLattice": (lambda: chain_lattice(2), "top"),
+    "LatticeProgression": (lambda: close_to_progression(chain_lattice(2), R), "s_vector"),
+}
+
+
+class TestImmutableClasses:
+    @pytest.mark.parametrize("build, name", IMMUTABLE.values(), ids=list(IMMUTABLE))
+    def test_attributes_can_be_neither_set_nor_deleted(self, build, name):
+        obj = build()
+        before = getattr(obj, name)
+        message = f"^{type(obj).__name__} is immutable$"
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(obj, name)
+        with pytest.raises(AttributeError, match=message):
+            obj.not_an_attribute = 1
+        assert getattr(obj, name) is before
+        hash(obj)
+
+
 class TestDerivedFields:
     """Each verdict flag, read off records that real calls return, agrees
     with the evidence the record stores."""
@@ -130,16 +156,16 @@ class TestDerivedFields:
     def test_proof_report(self, loop_vs_cycle, deadlock_vs_loop):
         seq = compute_strata(loop_vs_cycle)
         r = Relation.from_pairs(3, [(0, 1)])
-        trusted = check_upto(loop_vs_cycle, r, lrf_function(seq), seq=seq)
+        trusted = check_upto(seq, r, lrf_function(seq))
         assert trusted.trusted and trusted.progression_holds and trusted.diagnosis.holds
         assert trusted.conclusion == CONTAINED
         homemade = UpToFunction("homemade", loop_vs_cycle, lambda r: Relation.full(3))
-        untrusted = check_upto(loop_vs_cycle, r, homemade, seq=seq)
+        untrusted = check_upto(seq, r, homemade)
         assert not untrusted.trusted and untrusted.progression_holds
         assert untrusted.conclusion == INCONCLUSIVE
         seq = compute_strata(deadlock_vs_loop)
         r = Relation.from_pairs(2, [(0, 1)])
-        failing = check_upto(deadlock_vs_loop, r, lrf_function(seq), seq=seq)
+        failing = check_upto(seq, r, lrf_function(seq))
         assert failing.trusted and not failing.progression_holds
         assert failing.diagnosis.violations and failing.conclusion == INCONCLUSIVE
 
@@ -177,11 +203,11 @@ class TestDerivedFields:
 
     def test_lattice_chain(self):
         lat = diamond_lattice()
-        assert z_chain(lat, LatticeProgression(lat, lat.order)) == ((lat.top,),)
-        assert z_chain(lat, LatticeProgression(lat, lat.order)).stable_index == 0
+        assert z_chain(LatticeProgression(lat, lat.order)) == ((lat.top,),)
+        assert z_chain(LatticeProgression(lat, lat.order)).stable_index == 0
         # every pre-image of the least progression on a chain joins to the bottom
         lat = chain_lattice(3)
-        chain = z_chain(lat, close_to_progression(lat, Relation.empty(3)))
+        chain = z_chain(close_to_progression(lat, Relation.empty(3)))
         assert chain.zs == (lat.top, lat.bottom) and chain.stable_index == 1
 
     def test_no_module_keeps_a_flag_check(self):

@@ -141,7 +141,7 @@ class TestLazyExports:
             exec("from upto import no_such_name", {})
 
     def test_removed_shorthands_are_gone(self):
-        # check_upto(lts, r, lrf_function(seq), seq=seq) and
+        # check_upto(seq, r, lrf_function(seq)) and
         # resolve_relation(parse_relation_document(text), lts) replace them
         for name in ("check_companion", "parse_relation"):
             with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
